@@ -303,9 +303,7 @@ let eval_many_rows () =
    configuration contributes wall_ms / nodes / nodes_per_s /
    peak_frontier / depth. The pruned n=6 run is the headline
    (optimal-depth certification); the subsumption-free reference run
-   exposes the node reduction the pruning buys; the multi-domain rows
-   exercise Par-parallel expansion (any speedup is hardware-dependent —
-   a single-core host shows pure domain overhead). *)
+   exposes the node reduction the pruning buys. *)
 let search_json_rows () =
   (* sharded vs single-process on one deliberately expansion-heavy
      workload: the unrestricted n=8 system cut at depth 3, whose last
@@ -316,9 +314,8 @@ let search_json_rows () =
      floor to a sanity bound and says so (the row still tracks
      supervisor + serialization overhead, which is a few ms/level).
      Computed first: OCaml 5 forbids Unix.fork once any domain has
-     been spawned, so the fork-based rows must precede every ~domains
-     fan-out (and the caller runs this whole section before the
-     bechamel loops). *)
+     been spawned, so the caller runs this whole section before the
+     bechamel loops. *)
   let shard_rows =
     let n = 8 and shards = 4 and max_depth = 3 in
     let expect_unsorted = function
@@ -327,8 +324,7 @@ let search_json_rows () =
     in
     let t0 = Clock.wall () in
     expect_unsorted
-      (Driver.run ~engine:`Legacy ~max_depth
-         (Driver.network_system ~restrict:false ~n ()));
+      (Driver.run ~max_depth (Driver.network_system ~restrict:false ~n ()));
     let single = Clock.wall () -. t0 in
     let dir = Filename.temp_file "snlb-bench-shard" "" in
     Sys.remove dir;
@@ -360,17 +356,18 @@ let search_json_rows () =
         if sharded > 0. then single /. sharded else 0. );
       ("search/shard/cores", float_of_int (Par.recommended_domains ())) ]
   in
-  let k = max 2 (Par.recommended_domains ()) in
-  let time_run ?checkpoint ~tag ~restrict ~domains n =
+  let time_run ?checkpoint ~tag ~restrict n =
     let t0 = Clock.wall () in
-    let outcome = Driver.optimal_depth ?checkpoint ~restrict ~domains ~n () in
+    let outcome = Driver.optimal_depth ?checkpoint ~restrict ~n () in
     let wall = Clock.wall () -. t0 in
     let stats, depth =
       match outcome with
       | Driver.Sorted { depth; stats; _ } -> (stats, depth)
       | Driver.Unsorted stats | Driver.Inconclusive stats | Driver.Interrupted stats -> (stats, -1)
     in
-    let prefix = Printf.sprintf "search/n=%d/%s/domains=%d" n tag domains in
+    (* "domains=1" stays in the row names so the trajectory of earlier
+       BENCH files lines up; the search is single-domain *)
+    let prefix = Printf.sprintf "search/n=%d/%s/domains=1" n tag in
     [ (prefix ^ "/wall_ms", wall *. 1e3);
       (prefix ^ "/nodes", float_of_int stats.Driver.nodes);
       ( prefix ^ "/nodes_per_s",
@@ -399,43 +396,31 @@ let search_json_rows () =
           (fun p -> if Sys.file_exists p then Sys.remove p)
           [ path; Atomic_file.backup_path path ])
       (fun () ->
-        time_run ~checkpoint:(path, interval) ~tag ~restrict:true ~domains:1 7)
+        time_run ~checkpoint:(path, interval) ~tag ~restrict:true 7)
   in
-  (* arena vs legacy engine on one prebuilt n=8 pruned system — the
-     run only, so system construction (layer tables, symmetry
-     reduction) is excluded from both sides. Best of 3 to shave timing
-     noise; `make bench-json` asserts the speedup row at >= 5x. *)
-  let engine_rows =
+  (* the n=8 pruned search on one prebuilt system — the run only, so
+     system construction (layer tables, symmetry reduction) is
+     excluded. Best of 3 to shave timing noise. *)
+  let n8_rows =
     let n = 8 in
     let sys = Driver.network_system ~n () in
-    let best engine =
-      let best = ref infinity in
-      for _ = 1 to 3 do
-        let t0 = Clock.wall () in
-        (match Driver.run ~engine ~max_depth:n sys with
-        | Driver.Sorted { depth = 6; _ } -> ()
-        | _ -> failwith "n=8 optimal depth should be 6");
-        best := min !best (Clock.wall () -. t0)
-      done;
-      !best
-    in
-    let legacy = best `Legacy in
-    let arena = best `Arena in
-    [ ("search/n=8/engine=legacy/wall_ms", legacy *. 1e3);
-      ("search/n=8/engine=arena/wall_ms", arena *. 1e3);
-      ("search/n=8/arena_speedup", if arena > 0. then legacy /. arena else 0.)
-    ]
+    let best = ref infinity in
+    for _ = 1 to 3 do
+      let t0 = Clock.wall () in
+      (match Driver.run ~max_depth:n sys with
+      | Driver.Sorted { depth = 6; _ } -> ()
+      | _ -> failwith "n=8 optimal depth should be 6");
+      best := min !best (Clock.wall () -. t0)
+    done;
+    [ ("search/n=8/engine=arena/wall_ms", !best *. 1e3) ]
   in
   List.concat
-    [ time_run ~tag:"pruned" ~restrict:true ~domains:1 6;
-      time_run ~tag:"pruned" ~restrict:true ~domains:k 6;
-      time_run ~tag:"reference" ~restrict:false ~domains:1 6;
-      time_run ~tag:"reference" ~restrict:false ~domains:k 6;
-      time_run ~tag:"pruned" ~restrict:true ~domains:1 7;
-      time_run ~tag:"pruned" ~restrict:true ~domains:k 7;
+    [ time_run ~tag:"pruned" ~restrict:true 6;
+      time_run ~tag:"reference" ~restrict:false 6;
+      time_run ~tag:"pruned" ~restrict:true 7;
       checkpointed ~tag:"pruned-ckpt" ~interval:60.;
       checkpointed ~tag:"pruned-ckpt0" ~interval:0.;
-      engine_rows;
+      n8_rows;
       shard_rows ]
 
 (* Analyzer throughput: repeated full analyses (structural lints, both

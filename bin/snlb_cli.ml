@@ -715,24 +715,6 @@ let search_cmd =
     in
     Arg.(value & flag & info [ "shuffle" ] ~doc)
   in
-  let domains_arg =
-    let doc = "Worker domains for expansion and subsumption filtering." in
-    Arg.(value & opt int 1 & info [ "domains" ] ~docv:"K" ~doc)
-  in
-  let engine_arg =
-    let doc =
-      "Search engine: $(b,auto) picks the packed arena whenever the moves \
-       are plain comparator layers (the free search; --shuffle always runs \
-       legacy), $(b,arena) forces it, $(b,legacy) forces the boxed \
-       list/Hashtbl path. Both engines make identical decisions."
-    in
-    Arg.(
-      value
-      & opt
-          (enum [ ("auto", `Auto); ("legacy", `Legacy); ("arena", `Arena) ])
-          `Auto
-      & info [ "engine" ] ~docv:"ENGINE" ~doc)
-  in
   let max_depth_arg =
     let doc = "Depth cap for optimal search (default: n, or 6 with --shuffle)." in
     Arg.(value & opt (some int) None & info [ "max-depth" ] ~docv:"D" ~doc)
@@ -757,7 +739,7 @@ let search_cmd =
        expanded child, a subsumption witness (cited pool entry and wire \
        permutation) the independent checker replays. Forces the \
        unrestricted reference search (every layer, equality-only \
-       dedup), whose frontier log both engines reproduce byte-for-byte. \
+       dedup). \
        On an $(b,--optimal) run that finds a depth-$(i,d) sorter, emits \
        exhaustion at depth $(i,d-1) plus a sortedness certificate for \
        the witness network — together a proof of optimality. Not \
@@ -775,10 +757,9 @@ let search_cmd =
       s.Driver.nodes s.Driver.pruned s.Driver.deduped s.Driver.subsumed
       s.Driver.redundant s.Driver.peak_frontier
   in
-  let run n depth _optimal shuffle domains engine max_depth budget shards
-      shard_dir emit ckpt interval resume trace metrics =
+  let run n depth _optimal shuffle max_depth budget shards shard_dir emit ckpt
+      interval resume trace metrics =
     let budget = { Driver.max_nodes = budget; max_seconds = None } in
-    record_domains domains;
     if resume && ckpt = None then
       usage_error "search: --resume needs --checkpoint FILE"
     else if shards < 0 then usage_error "search: --shards must be >= 0"
@@ -816,7 +797,7 @@ let search_cmd =
           match depth with
           | Some depth -> (
               match
-                Min_depth.search ~n ~depth ~budget ~domains ~sink ~cancel
+                Min_depth.search ~n ~depth ~budget ~sink ~cancel
                   ?checkpoint ?resume:resume_state ()
               with
               | Min_depth.Sorter prog ->
@@ -842,7 +823,7 @@ let search_cmd =
           | None -> (
               let max_depth = Option.value max_depth ~default:6 in
               match
-                Min_depth.minimal_depth ~n ~max_depth ~budget ~domains ~sink
+                Min_depth.minimal_depth ~n ~max_depth ~budget ~sink
                   ~cancel ?checkpoint ?resume:resume_state ()
               with
               | Min_depth.Minimal (depth, _) ->
@@ -923,7 +904,7 @@ let search_cmd =
           match emit with
           | None ->
               report
-                (Driver.optimal_depth ~domains ~engine ~budget ~sink ~cancel
+                (Driver.optimal_depth ~budget ~sink ~cancel
                    ?checkpoint ?resume:resume_state ~max_depth ~n ())
           | Some path ->
               (* The exhaustion certificate replays every child of every
@@ -936,7 +917,7 @@ let search_cmd =
                 frontiers := states :: !frontiers
               in
               let outcome =
-                Driver.optimal_depth ~domains ~engine ~budget ~sink ~cancel
+                Driver.optimal_depth ~budget ~sink ~cancel
                   ~frontier_log ?checkpoint ~restrict:false ~max_depth ~n ()
               in
               let frontiers = List.rev !frontiers in
@@ -981,7 +962,7 @@ let search_cmd =
   Cmd.v (Cmd.info "search" ~doc)
     Term.(
       const run $ search_n_arg $ depth_arg $ optimal_arg $ shuffle_arg
-      $ domains_arg $ engine_arg $ max_depth_arg $ budget_arg $ shards_arg
+      $ max_depth_arg $ budget_arg $ shards_arg
       $ shard_dir_arg $ emit_cert_arg $ checkpoint_arg $ interval_arg
       $ resume_arg $ trace_arg $ metrics_arg)
 

@@ -12,32 +12,6 @@ type minimal =
 
 (* Masks encode one zero-one input/state: bit r = value of register r. *)
 
-let shuffle_mask ~n ~d m =
-  (* content of register j moves to rotl j: bit r of m' = bit rotr r of m *)
-  let m' = ref 0 in
-  for r = 0 to n - 1 do
-    let src = if r = 0 then 0 else ((r lsr 1) lor ((r land 1) lsl (d - 1))) in
-    if (m lsr src) land 1 = 1 then m' := !m' lor (1 lsl r)
-  done;
-  !m'
-
-let apply_ops ~pairs ops m =
-  let m = ref m in
-  for k = 0 to pairs - 1 do
-    let a = 2 * k and b = (2 * k) + 1 in
-    let va = (!m lsr a) land 1 and vb = (!m lsr b) land 1 in
-    let va', vb' =
-      match ops.(k) with
-      | Register_model.Plus -> (va land vb, va lor vb)
-      | Register_model.Minus -> (va lor vb, va land vb)
-      | Register_model.One -> (vb, va)
-      | Register_model.Zero -> (va, vb)
-    in
-    m := !m land lnot ((1 lsl a) lor (1 lsl b));
-    m := !m lor (va' lsl a) lor (vb' lsl b)
-  done;
-  !m
-
 let all_op_vectors ~pairs =
   (* enumerate {+,-,0,1}^pairs; Plus first so witnesses favour dense
      comparator levels *)
@@ -78,23 +52,36 @@ let prunable ~n ~d ~remaining state =
       state
   end
 
+(* One stage as an arena move: the shuffle (the content of register c
+   moves to register rotl c), then each pair's op — [+] the ascending
+   comparator, [-] the comparator then a swap (max to the low
+   register), [1] a swap, [0] nothing. *)
+let stage_of ~shuffle ops =
+  let cmps = ref [] and swaps = ref [] in
+  for k = Array.length ops - 1 downto 0 do
+    let pair = (2 * k, (2 * k) + 1) in
+    match ops.(k) with
+    | Register_model.Plus -> cmps := pair :: !cmps
+    | Register_model.Minus ->
+        cmps := pair :: !cmps;
+        swaps := pair :: !swaps
+    | Register_model.One -> swaps := pair :: !swaps
+    | Register_model.Zero -> ()
+  done;
+  { Arena.perm = Some shuffle; cmps = !cmps; swaps = !swaps }
+
 (* Channel permutations do not commute with the fixed shuffle wiring,
    so subsumption (sound for the free-layer search) is NOT sound here;
    the frontier is deduplicated by state equality only. *)
 let system ~n =
   let d = Bitops.log2_exact n in
-  let pairs = n / 2 in
-  let vectors = all_op_vectors ~pairs in
+  let vectors = all_op_vectors ~pairs:(n / 2) in
+  let shuffle = Array.init n (fun c -> ((c lsl 1) lor (c lsr (d - 1))) land (n - 1)) in
   { Driver.n;
     tag = "shuffle-ops";
     initial = State.initial ~n;
     moves_at = (fun ~level:_ -> vectors);
-    apply =
-      (fun ops st ->
-        State.map_masks st (fun m -> apply_ops ~pairs ops (shuffle_mask ~n ~d m)));
-    (* a move here is shuffle-then-ops, not a comparator layer, so the
-       arena engine's butterfly apply cannot express it *)
-    pairs_of = None;
+    stage = stage_of ~shuffle;
     prune = (fun ~level:_ ~remaining st -> prunable ~n ~d ~remaining st);
     (* redundancy hook off: the op-vector move set is tiny (4^(n/2)
        vectors, n <= 8 in practice) and equality dedup already
@@ -106,10 +93,10 @@ let check_n ~fn n =
   if not (Bitops.is_power_of_two n) || n < 2 || n > 16 then
     invalid_arg (fn ^ ": n must be a power of two in [2,16]")
 
-let search ~n ~depth ?budget ?domains ?sink ?cancel ?checkpoint ?resume () =
+let search ~n ~depth ?budget ?domains:_ ?sink ?cancel ?checkpoint ?resume () =
   check_n ~fn:"Min_depth.search" n;
   match
-    Driver.run ?domains ?budget ?sink ?cancel ?checkpoint ?resume
+    Driver.run ?budget ?sink ?cancel ?checkpoint ?resume
       ~max_depth:depth (system ~n)
   with
   | Driver.Sorted { moves; _ } -> Sorter moves
@@ -121,11 +108,11 @@ let verify_witness ~n program =
   let prog = Register_model.shuffle_program ~n program in
   Zero_one.is_sorting_network (Register_model.to_network prog)
 
-let minimal_depth ~n ~max_depth ?budget ?domains ?sink ?cancel ?checkpoint
+let minimal_depth ~n ~max_depth ?budget ?domains:_ ?sink ?cancel ?checkpoint
     ?resume () =
   check_n ~fn:"Min_depth.minimal_depth" n;
   match
-    Driver.run ?domains ?budget ?sink ?cancel ?checkpoint ?resume ~max_depth
+    Driver.run ?budget ?sink ?cancel ?checkpoint ?resume ~max_depth
       (system ~n)
   with
   | Driver.Sorted { depth; moves; _ } ->

@@ -13,8 +13,11 @@
     answers "does a depth-[D] shuffle-based sorter exist?" exactly.
 
     The instantiation plugs three things into {!Driver.run}: the move
-    set (all [4^(n/2)] op vectors per stage), the transition (shuffle
-    the registers, then apply the op vector pairwise), and a pruning
+    set (all [4^(n/2)] op vectors per stage), the transition as one
+    {!Arena.stage} (the shuffle as a wire permutation, then the op
+    vector pairwise: [+] a comparator, [-] a comparator then a swap,
+    [1] a swap, [0] nothing — so the search runs on the same packed
+    arena and butterflies as the free-layer search), and a pruning
     test — unit masks (single 1) remain unit masks under comparators,
     and a unit at register [p] can only reach the top register within
     [r] further stages if the low [lg n - r] bits of [p] are all ones
@@ -22,7 +25,10 @@
     single-zero masks. Unlike the free-layer search, the frontier is
     deduplicated by state {e equality} only: channel permutations do
     not commute with the fixed shuffle wiring, so subsumption is
-    unsound here. *)
+    unsound here.
+
+    The search is single-domain and deterministic; the [domains]
+    arguments below are accepted and ignored. *)
 
 type outcome =
   | Sorter of Register_model.op array list
@@ -41,13 +47,18 @@ type minimal =
       (** cancelled; depths up to the payload {e are} refuted, and a
           configured checkpoint can resume the rest *)
 
+val system : n:int -> Register_model.op array Driver.system
+(** The shuffle-restricted search as a {!Driver} system (tag
+    ["shuffle-ops"]). [n] must be a power of two in [2, 16]. *)
+
 val search :
   n:int -> depth:int -> ?budget:Driver.budget -> ?domains:int ->
   ?sink:Sink.t -> ?cancel:Cancel.t -> ?checkpoint:string * float ->
   ?resume:Driver.resume_state -> unit -> outcome
 (** [search ~n ~depth ()] decides whether some shuffle-based network of
     at most [depth] stages sorts all inputs (a [Sorter] witness may be
-    shorter than [depth]). [budget] (default {!Driver.default_budget})
+    shorter than [depth]). [domains] is ignored. [budget] (default
+    {!Driver.default_budget})
     bounds move applications as in {!Driver.run}; [sink] receives the
     driver's per-level span events; [cancel] / [checkpoint] / [resume]
     behave exactly as in {!Driver.run} (snapshots carry the

@@ -97,6 +97,3 @@ let map_list ?(min_per_domain = 1) ~domains f xs =
     List.iter (List.iter (fun (i, y) -> out.(i) <- Some y)) results;
     Array.to_list (Array.map Option.get out)
   end
-
-let map_list_until ?min_per_domain ~domains ~stop ~default f xs =
-  map_list ?min_per_domain ~domains (fun x -> if stop () then default else f x) xs

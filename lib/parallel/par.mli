@@ -60,22 +60,6 @@ val map_list :
     every domain that many elements runs on fewer domains — or fully
     sequentially — instead of paying a spawn per handful of elements.
     Callers whose per-element work is small relative to a domain spawn
-    (the search driver's frontier expansion) should pass a threshold;
+    (the evolve fitness fan-out) should pass a threshold;
     [1] preserves the old always-parallel behaviour.
     @raise Invalid_argument if [domains < 1] or [min_per_domain < 1]. *)
-
-val map_list_until :
-  ?min_per_domain:int ->
-  domains:int ->
-  stop:(unit -> bool) ->
-  default:'b ->
-  ('a -> 'b) ->
-  'a list ->
-  'b list
-(** {!map_list} with cooperative cancellation: [stop] is consulted
-    before each element, and once it returns [true] every remaining
-    element yields [default] without calling [f], so an in-flight
-    fan-out drains in order instead of being abandoned mid-level.
-    [stop] runs on worker domains — it must be domain-safe (an atomic
-    read, e.g. [Resilience.Cancel.cancelled]) and cheap. Elements
-    mapped before the trip keep their real results. *)

@@ -52,10 +52,9 @@ type t = {
   mutable table : int array; (* open addressing: 0 = empty, else idx + 1 *)
   mutable mask : int; (* Array.length table - 1 *)
   (* precomputed per n *)
-  intra : int64 array array; (* i < j < 6: movers pattern *)
-  bitset : int64 array; (* i < 6: intra positions with bit i set *)
   sorted_row : int64 array;
-  (* row patterns for the signature counts: level k's masks at
+  (* signature tables, built only when [with_sigs] (empty otherwise).
+     Row patterns for the signature counts: level k's masks at
      [k * wpr], channel (c, k)'s at [(n + 1 + c * (n + 1) + k) * wpr] —
      a count is one AND+popcount per row word instead of a loop over
      the masks *)
@@ -140,6 +139,31 @@ let byte_t2 =
           done;
           !acc))
 
+(* Word patterns shared by every width: [intra.(i).(j)] (i < j < 6)
+   selects the in-word positions with bit i set and bit j clear — the
+   movers of comparator (i, j) — and [bitset.(i)] (i < 6) the in-word
+   positions with bit i set. *)
+let intra =
+  Array.init 6 (fun i ->
+      Array.init 6 (fun j ->
+          if i >= j then 0L
+          else begin
+            let p = ref 0L in
+            for b = 0 to 63 do
+              if (b lsr i) land 1 = 1 && (b lsr j) land 1 = 0 then
+                p := Int64.logor !p (Int64.shift_left 1L b)
+            done;
+            !p
+          end))
+
+let bitset =
+  Array.init 6 (fun i ->
+      let p = ref 0L in
+      for b = 0 to 63 do
+        if (b lsr i) land 1 = 1 then p := Int64.logor !p (Int64.shift_left 1L b)
+      done;
+      !p)
+
 (* --- construction --- *)
 
 let binomial n k =
@@ -190,31 +214,12 @@ let check_n n =
 let create ?(with_sigs = true) ~n () =
   check_n n;
   let wpr = max 1 ((1 lsl n) / 64) in
-  let cap = 1024 in
+  (* start small: a depth-0 search or a worker's slice commits a
+     handful of rows, and [grow] / [rehash] double on demand *)
+  let cap = 64 in
   let lay = make_layout n in
   (* level sig, then per channel a ones sig and a zeros sig *)
   let sig_stride = lay.sig_words * (1 + (2 * n)) in
-  let intra =
-    Array.init 6 (fun i ->
-        Array.init 6 (fun j ->
-            if i >= j then 0L
-            else begin
-              let p = ref 0L in
-              for b = 0 to 63 do
-                if (b lsr i) land 1 = 1 && (b lsr j) land 1 = 0 then
-                  p := Int64.logor !p (Int64.shift_left 1L b)
-              done;
-              !p
-            end))
-  in
-  let bitset =
-    Array.init 6 (fun i ->
-        let p = ref 0L in
-        for b = 0 to 63 do
-          if (b lsr i) land 1 = 1 then p := Int64.logor !p (Int64.shift_left 1L b)
-        done;
-        !p)
-  in
   let sorted_row =
     let r = Array.make wpr 0L in
     for k = 0 to n do
@@ -224,25 +229,25 @@ let create ?(with_sigs = true) ~n () =
     r
   in
   let count_pat =
-    let p =
-      Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout
-        ((n + 1 + (n * (n + 1))) * wpr)
-    in
+    let slots = if with_sigs then n + 1 + (n * (n + 1)) else 0 in
+    let p = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout (slots * wpr) in
     Bigarray.Array1.fill p 0L;
     let set slot m =
       let w = (slot * wpr) + (m lsr 6) in
       Bigarray.Array1.set p w
         (Int64.logor (Bigarray.Array1.get p w) (Int64.shift_left 1L (m land 63)))
     in
-    for m = 0 to (1 lsl n) - 1 do
-      let k = Bitops.popcount m in
-      set k m;
-      for c = 0 to n - 1 do
-        if (m lsr c) land 1 = 1 then set (n + 1 + (c * (n + 1)) + k) m
-      done
-    done;
+    if with_sigs then
+      for m = 0 to (1 lsl n) - 1 do
+        let k = Bitops.popcount m in
+        set k m;
+        for c = 0 to n - 1 do
+          if (m lsr c) land 1 = 1 then set (n + 1 + (c * (n + 1)) + k) m
+        done
+      done;
     p
   in
+  let positions = if with_sigs then wpr * 8 else 0 in
   { n;
     wpr;
     cap;
@@ -255,15 +260,13 @@ let create ?(with_sigs = true) ~n () =
     with_sigs;
     sig_stride;
     lay;
-    table = Array.make 4096 0;
-    mask = 4095;
-    intra;
-    bitset;
+    table = Array.make 256 0;
+    mask = 255;
     sorted_row;
     count_pat;
-    byte_pc = Array.init (wpr * 8) Bitops.popcount;
+    byte_pc = Array.init positions Bitops.popcount;
     byte_hc =
-      Array.init (wpr * 8) (fun p ->
+      Array.init positions (fun p ->
           let l = ref [] in
           for d = 12 downto 0 do
             if (p lsr d) land 1 = 1 then l := (3 + d) :: !l
@@ -347,7 +350,7 @@ let stage_state t st =
 let apply_cmp t base i j =
   let words = t.words and wpr = t.wpr in
   if j < 6 then begin
-    let pat = t.intra.(i).(j) in
+    let pat = intra.(i).(j) in
     let delta = (1 lsl j) - (1 lsl i) in
     for w = 0 to wpr - 1 do
       let x = Bigarray.Array1.unsafe_get words (base + w) in
@@ -358,7 +361,7 @@ let apply_cmp t base i j =
     done
   end
   else if i < 6 then begin
-    let pat = t.bitset.(i) in
+    let pat = bitset.(i) in
     let dj = 1 lsl (j - 6) in
     let shift = 1 lsl i in
     for w = 0 to wpr - 1 do
@@ -390,15 +393,6 @@ let apply_cmp t base i j =
       end
     done
   end
-
-let stage_child t ~parent pairs =
-  if t.len >= t.cap then grow t;
-  let src = parent * t.wpr and dst = stage_off t in
-  for w = 0 to t.wpr - 1 do
-    Bigarray.Array1.unsafe_set t.words (dst + w)
-      (Bigarray.Array1.unsafe_get t.words (src + w))
-  done;
-  List.iter (fun (i, j) -> apply_cmp t dst i j) pairs
 
 let row_subset t base_a base_b =
   let ok = ref true in
@@ -732,7 +726,7 @@ let transpose_row t base i j =
   if j < 6 then begin
     (* delta-swap within each word; [intra.(i).(j)] selects the lower
        position of every swapped pair *)
-    let pat = t.intra.(i).(j) in
+    let pat = intra.(i).(j) in
     let delta = (1 lsl j) - (1 lsl i) in
     for w = 0 to t.wpr - 1 do
       let x = Bigarray.Array1.unsafe_get t.words (base + w) in
@@ -746,8 +740,8 @@ let transpose_row t base i j =
   else if i < 6 then begin
     (* word pair (w, w + 2^(j-6)): bit-i=1 positions of the low word
        exchange with bit-i=0 positions of the high word, 2^i apart *)
-    let bi = t.bitset.(i) and sh = 1 lsl i in
-    let nbi = Int64.lognot t.bitset.(i) in
+    let bi = bitset.(i) and sh = 1 lsl i in
+    let nbi = Int64.lognot bitset.(i) in
     let dj = 1 lsl (j - 6) in
     for w = 0 to t.wpr - 1 do
       if (w lsr (j - 6)) land 1 = 0 then begin
@@ -801,6 +795,33 @@ let permute_row_into_staging t src pi =
       done
     end
   done
+
+(* --- search moves --- *)
+
+type stage = {
+  perm : int array option;
+  cmps : (int * int) list;
+  swaps : (int * int) list;
+}
+
+let comparators cmps = { perm = None; cmps; swaps = [] }
+
+(* The three phases of a stage, each a butterfly on the staging row:
+   the wire permutation permutes index bits, a comparator ORs its
+   movers across, a swap exchanges the (1, 0) and (0, 1) positions of
+   its two index bits. *)
+let stage_child t ~parent st =
+  if t.len >= t.cap then grow t;
+  let src = parent * t.wpr and dst = stage_off t in
+  (match st.perm with
+  | Some pi -> permute_row_into_staging t src pi
+  | None ->
+      for w = 0 to t.wpr - 1 do
+        Bigarray.Array1.unsafe_set t.words (dst + w)
+          (Bigarray.Array1.unsafe_get t.words (src + w))
+      done);
+  List.iter (fun (i, j) -> apply_cmp t dst i j) st.cmps;
+  List.iter (fun (i, j) -> transpose_row t dst (min i j) (max i j)) st.swaps
 
 let subsumes t a b =
   t.card.(a) <= t.card.(b)

@@ -8,9 +8,10 @@
     [State.t] or fingerprint records. Dedup is open addressing over an
     xxhash64-style row hash (linear probing, power-of-two table,
     resized at load factor 1/2), so the frontier never allocates boxed
-    keys. Comparator layers apply to a whole row as a butterfly of
-    masked word shifts — O(row words) per comparator instead of a loop
-    over every reachable mask.
+    keys. A search move ({!stage}: wire permutation, comparators, wire
+    swaps) applies to a whole row as a butterfly of masked word shifts
+    — O(row words) per comparator instead of a loop over every
+    reachable mask.
 
     Mutation protocol: build a child into the single {e staging row}
     with {!stage_state} or {!stage_child}, interrogate it
@@ -26,9 +27,11 @@ type t
 
 val create : ?with_sigs:bool -> n:int -> unit -> t
 (** An empty arena for [n]-wire states ([2 <= n <= 16]; rows are [2^n]
-    bits). [with_sigs] (default true) additionally computes, at commit
-    time, the packed SWAR signatures that {!subsumes} needs; pass
-    [false] for equality-dedup-only runs to skip that work. *)
+    bits). [with_sigs] (default true) additionally builds the signature
+    tables and computes, at commit time, the packed SWAR signatures
+    that {!subsumes} needs; pass [false] for equality-dedup-only runs
+    to skip that work. Creation is cheap either way: storage starts
+    small and doubles on demand. *)
 
 val n : t -> int
 
@@ -38,11 +41,32 @@ val length : t -> int
 val stage_state : t -> State.t -> unit
 (** Pack an explicit state into the staging row. *)
 
-val stage_child : t -> parent:int -> (int * int) list -> unit
-(** [stage_child t ~parent layer] writes into the staging row the image
-    of committed row [parent] under the comparator layer (ascending
-    [(i, j)] pairs, [i < j]) — the arena-native
-    [State.apply_comparators]. *)
+type stage = {
+  perm : int array option;
+      (** applied first: the content of wire [c] moves to wire
+          [perm.(c)] (a permutation of [0 .. n - 1]) *)
+  cmps : (int * int) list;
+      (** then ascending comparators [(i, j)], [i < j], pairwise
+          disjoint: the minimum goes to wire [i] *)
+  swaps : (int * int) list;
+      (** then unconditional exchanges of wires [i] and [j], pairwise
+          disjoint *)
+}
+(** One search move, in the signed one-line notation of a conditional
+    permutation: a comparator layer is [{ perm = None; cmps; swaps =
+    [] }]; a shuffle-based register stage is the shuffle as [perm]
+    followed by its op vector ([+] a comparator, [-] a comparator then a
+    swap, [1] a swap, [0] nothing). *)
+
+val comparators : (int * int) list -> stage
+(** The stage of a plain comparator layer. *)
+
+val stage_child : t -> parent:int -> stage -> unit
+(** [stage_child t ~parent st] writes into the staging row the image of
+    committed row [parent] under [st] — the arena-native
+    [State.apply_comparators] (and, with a permutation or swaps,
+    [State.map_masks]). Every phase is a word-parallel butterfly on the
+    row. *)
 
 val staged_is_sorted : t -> bool
 (** Whether the staging row's reachable set contains only the [n + 1]

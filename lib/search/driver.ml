@@ -28,14 +28,13 @@ type 'm system = {
   tag : string;
   initial : State.t;
   moves_at : level:int -> 'm list;
-  apply : 'm -> State.t -> State.t;
-  pairs_of : ('m -> (int * int) list) option;
+  stage : 'm -> Arena.stage;
   prune : level:int -> remaining:int -> State.t -> bool;
   redundant_of : level:int -> State.t -> 'm -> bool;
   dedup : dedup;
 }
 
-type engine = [ `Auto | `Legacy | `Arena ]
+type engine = [ `Arena ]
 
 let no_prune ~level:_ ~remaining:_ _ = false
 let no_redundant ~level:_ _ _ = false
@@ -54,64 +53,90 @@ let c_redundant = Metrics.counter "analysis.redundant_moves"
 let c_ckpt_failures = Metrics.counter "checkpoint.failures"
 let c_resumes = Metrics.counter "checkpoint.resumes"
 
-(* Work-size thresholds for the parallel sections: a domain spawn
-   costs far more than expanding or fingerprinting one small state, so
-   fan-out only engages once every domain can be fed at least this
-   many elements (small frontiers — all of n <= 6 — stay sequential;
-   see Par.map_list). *)
-let expand_min_per_domain = 32
-let subsume_min_per_domain = 16
+(* --- the per-entry step --- *)
 
-(* Greedy subsumption filter. Candidates (already equality-deduped,
-   sorted by ascending cardinality so the strongest states are kept
-   first) are tested against the cumulative representative list; the
-   test against representatives kept before this call parallelises in
-   batches, the test against representatives added within the batch is
-   a short sequential tail. Dropping a candidate is sound because some
-   kept representative subsumes it. *)
-let subsume_filter ~domains ~kept candidates =
-  let dropped = ref 0 in
-  let survivors = ref [] in
-  let batch_size = if domains <= 1 then max_int else domains * 32 in
-  let rec loop = function
-    | [] -> ()
-    | cands ->
-        let rec split i acc = function
-          | [] -> (List.rev acc, [])
-          | x :: rest when i < batch_size -> split (i + 1) (x :: acc) rest
-          | rest -> (List.rev acc, rest)
-        in
-        let batch, rest = split 0 [] cands in
-        let frozen = !kept in
-        let checked =
-          Par.map_list ~min_per_domain:subsume_min_per_domain ~domains
-            (fun ((st, _, fp) as cand) ->
-              if
-                List.exists (fun (s2, f2) -> Subsume.subsumes (s2, f2) (st, fp)) frozen
-              then None
-              else Some cand)
-            batch
-        in
-        let batch_new = ref [] in
-        List.iter
-          (function
-            | None -> incr dropped
-            | Some ((st, pre, fp) as cand) ->
-                if
-                  List.exists
-                    (fun (s2, _, f2) -> Subsume.subsumes (s2, f2) (st, fp))
-                    !batch_new
-                then incr dropped
-                else begin
-                  batch_new := cand :: !batch_new;
-                  kept := (st, fp) :: !kept;
-                  survivors := (st, pre) :: !survivors
-                end)
-          checked;
-        loop rest
+type 'm expansion = {
+  found : 'm list option;
+  children : (State.t * 'm list) list;
+  pruned : int;
+  redundant : int;
+  live : int;
+}
+
+(* Expand committed row [pidx], reached by the reversed prefix [pre],
+   by every move the redundancy hook keeps, in move order. [charge
+   live] is asked before any move is applied; [false] (the budget
+   tripped) abandons the entry with [None], its redundancy tally
+   unreported. Each child that is neither sorted nor pruned is handed
+   to [emit m] while it sits in the staging row. A sorted child ends
+   the entry: later moves are never applied. *)
+let expand_row sys arena ~level ~max_depth ~moves ~charge ~emit (pidx, pre) =
+  let is_red =
+    if sys.redundant_of == no_redundant then fun _ -> false
+    else sys.redundant_of ~level (Arena.to_state arena pidx)
   in
-  loop candidates;
-  (List.rev !survivors, !dropped)
+  let redundant = ref 0 in
+  let live =
+    List.filter
+      (fun m ->
+        if is_red m then begin
+          incr redundant;
+          false
+        end
+        else true)
+      moves
+  in
+  let nlive = List.length live in
+  if not (charge nlive) then None
+  else begin
+    let remaining = max_depth - level in
+    let pruned = ref 0 in
+    let rec go = function
+      | [] -> None
+      | m :: rest ->
+          Arena.stage_child arena ~parent:pidx (sys.stage m);
+          if Arena.staged_is_sorted arena then Some (m :: pre)
+          else begin
+            (* children of the last level are only tested for
+               sortedness: nothing would expand them *)
+            if remaining > 0 then
+              if
+                sys.prune != no_prune
+                && sys.prune ~level ~remaining (Arena.staged_state arena)
+              then incr pruned
+              else emit m;
+            go rest
+          end
+    in
+    let found = go live in
+    Some
+      { found; children = []; pruned = !pruned; redundant = !redundant; live = nlive }
+  end
+
+let commit_state arena st =
+  Arena.stage_state arena st;
+  match Arena.commit arena ~level:0 with `Fresh i | `Dup i -> i
+
+let expand_entries sys ~max_depth ~level entries =
+  let arena = Arena.create ~with_sigs:false ~n:sys.n () in
+  let moves = sys.moves_at ~level in
+  let rec go acc = function
+    | [] -> List.rev acc
+    | (st, pre) :: rest -> (
+        let children = ref [] in
+        let emit m = children := (Arena.staged_state arena, m :: pre) :: !children in
+        match
+          expand_row sys arena ~level ~max_depth ~moves
+            ~charge:(fun _ -> true)
+            ~emit (commit_state arena st, pre)
+        with
+        | None -> assert false (* charge never refuses *)
+        | Some x ->
+            let x = { x with children = List.rev !children } in
+            if Option.is_none x.found then go (x :: acc) rest
+            else List.rev (x :: acc))
+  in
+  go [] entries
 
 (* --- checkpoint / resume --- *)
 
@@ -225,20 +250,10 @@ let validate_resume ~max_depth sys rs =
          (dedup_name sys.dedup))
   else Ok ()
 
-let run ?(domains = 1) ?(engine = (`Auto : engine)) ?(budget = default_budget)
-    ?(sink = Sink.null) ?on_level ?frontier_log ?cancel ?checkpoint
-    ?resume:resume_from ~max_depth sys =
+let run ?domains:_ ?engine:_ ?(budget = default_budget) ?(sink = Sink.null)
+    ?on_level ?frontier_log ?cancel ?checkpoint ?resume:resume_from ?expand
+    ~max_depth sys =
   if max_depth < 0 then invalid_arg "Driver.run: max_depth must be >= 0";
-  let use_arena =
-    match engine with
-    | `Legacy -> false
-    | `Arena ->
-        if Option.is_none sys.pairs_of then
-          invalid_arg
-            "Driver.run: the arena engine needs a system exposing pairs_of";
-        true
-    | `Auto -> Option.is_some sys.pairs_of
-  in
   (* a validated snapshot, or None for a fresh start *)
   let snap : 'm snapshot option =
     match resume_from with
@@ -254,32 +269,23 @@ let run ?(domains = 1) ?(engine = (`Auto : engine)) ?(budget = default_budget)
               why;
             None)
   in
-  let prior_elapsed, prior_cpu =
-    match snap with
-    | Some s -> (s.s_elapsed, s.s_elapsed_cpu)
-    | None -> (0., 0.)
-  in
-  let w0 = Clock.wall () -. prior_elapsed in
-  let cpu0 = Clock.cpu () -. prior_cpu in
-  let nodes =
-    Atomic.make (match snap with Some s -> s.s_nodes | None -> 0)
-  in
-  let stop = Atomic.make false in
-  let over_budget = Atomic.make false in
+  let from_snap f default = match snap with Some s -> f s | None -> default in
+  let w0 = Clock.wall () -. from_snap (fun s -> s.s_elapsed) 0. in
+  let cpu0 = Clock.cpu () -. from_snap (fun s -> s.s_elapsed_cpu) 0. in
+  let nodes = ref (from_snap (fun s -> s.s_nodes) 0) in
+  let pruned_total = ref (from_snap (fun s -> s.s_pruned) 0) in
+  let deduped_total = ref (from_snap (fun s -> s.s_deduped) 0) in
+  let subsumed_total = ref (from_snap (fun s -> s.s_subsumed) 0) in
+  let redundant_total = ref (from_snap (fun s -> s.s_redundant) 0) in
+  let sizes = ref (from_snap (fun s -> s.s_sizes) []) in
+  let over_budget = ref false in
   let interrupted = ref false in
   let cancelled () =
     (match cancel with Some t -> Cancel.cancelled t | None -> false)
     || !interrupted
   in
-  let pruned_total = ref (match snap with Some s -> s.s_pruned | None -> 0) in
-  let deduped_total = ref (match snap with Some s -> s.s_deduped | None -> 0) in
-  let subsumed_total = ref (match snap with Some s -> s.s_subsumed | None -> 0) in
-  let redundant_total =
-    ref (match snap with Some s -> s.s_redundant | None -> 0)
-  in
-  let sizes = ref (match snap with Some s -> s.s_sizes | None -> []) in
   let mk_stats completed =
-    { nodes = Atomic.get nodes;
+    { nodes = !nodes;
       pruned = !pruned_total;
       deduped = !deduped_total;
       subsumed = !subsumed_total;
@@ -289,14 +295,6 @@ let run ?(domains = 1) ?(engine = (`Auto : engine)) ?(budget = default_budget)
       completed_levels = completed;
       elapsed = Clock.wall () -. w0;
       elapsed_cpu = Clock.cpu () -. cpu0 }
-  in
-  let record_totals s =
-    Metrics.add c_nodes s.nodes;
-    Metrics.add c_pruned s.pruned;
-    Metrics.add c_deduped s.deduped;
-    Metrics.add c_subsumed s.subsumed;
-    Metrics.add c_redundant s.redundant;
-    Metrics.add c_levels s.completed_levels
   in
   (* Checkpoints are cut at level boundaries — the only points where
      the loop state is a consistent prefix of the search. [interval]
@@ -336,500 +334,261 @@ let run ?(domains = 1) ?(engine = (`Auto : engine)) ?(budget = default_budget)
             Printf.eprintf
               "snlb: checkpoint write failed (%s); search continues\n%!" e)
   in
-  (* --- arena engine ---
-
-     The packed-row fast path: the whole dedup memory lives in one
-     {!Arena} (flat int64 rows + open addressing, no boxed keys), a
-     child is built by the butterfly [Arena.stage_child] instead of a
-     per-mask [apply], and subsumption runs on packed signatures. The
-     loop is sequential (an arena is single-domain) but mirrors the
-     legacy control flow decision for decision — same candidate order,
-     same counter semantics, same level boundaries — and snapshots
-     convert to the {e legacy} structures at flush time, so checkpoints
-     keep [checkpoint_kind] and resume into either engine. *)
-  let run_arena () =
-    let pairs_of = Option.get sys.pairs_of in
-    let arena = Arena.create ~with_sigs:(sys.dedup = Subsume) ~n:sys.n () in
-    (* kept representatives as arena indices, sorted by ascending
-       cardinality: a rep can only subsume candidates of >= its card
-       (subsumption maps the reachable set injectively), so the scan
-       for a candidate cuts off at the first larger card *)
-    let kept_idx = ref (Array.make 256 0) in
-    let kept_card = ref (Array.make 256 0) in
-    let kept_len = ref 0 in
-    let kept_insert idx =
-      if !kept_len = Array.length !kept_idx then begin
-        let grow a =
-          let a' = Array.make (2 * Array.length a) 0 in
-          Array.blit a 0 a' 0 (Array.length a);
-          a'
-        in
-        kept_idx := grow !kept_idx;
-        kept_card := grow !kept_card
-      end;
-      let c = Arena.card arena idx in
-      let lo = ref 0 and hi = ref !kept_len in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if (!kept_card).(mid) <= c then lo := mid + 1 else hi := mid
-      done;
-      let pos = !lo in
-      Array.blit !kept_idx pos !kept_idx (pos + 1) (!kept_len - pos);
-      Array.blit !kept_card pos !kept_card (pos + 1) (!kept_len - pos);
-      (!kept_idx).(pos) <- idx;
-      (!kept_card).(pos) <- c;
-      incr kept_len
-    in
-    let kept_subsumes cand =
-      let c = Arena.card arena cand in
-      let k = ref 0 and hit = ref false in
-      while (not !hit) && !k < !kept_len && (!kept_card).(!k) <= c do
-        if Arena.subsumes arena (!kept_idx).(!k) cand then hit := true;
-        incr k
-      done;
-      !hit
-    in
-    let commit_existing st =
-      Arena.stage_state arena st;
-      match Arena.commit arena ~level:0 with `Fresh i | `Dup i -> i
-    in
-    let frontier = ref [] in
-    (match snap with
-    | None -> frontier := [ (commit_existing sys.initial, []) ]
-    | Some s ->
-        (* rehydrate the legacy-format snapshot: every seen state
-           becomes a committed row, then kept and frontier resolve to
-           their indices by dedup *)
-        Hashtbl.iter
-          (fun key () -> ignore (commit_existing (State.of_key ~n:sys.n key)))
-          s.s_seen;
-        List.iter
-          (fun (st, _fp) -> kept_insert (commit_existing st))
-          (List.rev s.s_kept);
-        frontier := List.map (fun (st, pre) -> (commit_existing st, pre)) s.s_frontier);
-    let result = ref None in
-    let level = ref (match snap with Some s -> s.s_level | None -> 1) in
-    (* last completed boundary's row count: an interrupted level's
-       commits are truncated back to it before the final flush *)
-    let boundary_len = ref (Arena.length arena) in
-    let snapshot_payload () =
-      let s_level = !level
-      and s_nodes = Atomic.get nodes
-      and s_pruned = !pruned_total
-      and s_deduped = !deduped_total
-      and s_subsumed = !subsumed_total
-      and s_redundant = !redundant_total
-      and s_sizes = !sizes
-      and s_elapsed = Clock.wall () -. w0
-      and s_elapsed_cpu = Clock.cpu () -. cpu0 in
-      fun () ->
-        let seen = Hashtbl.create (2 * Arena.length arena) in
-        for idx = 0 to Arena.length arena - 1 do
-          Hashtbl.replace seen (State.key (Arena.to_state arena idx)) ()
-        done;
-        let s_kept =
-          List.init !kept_len (fun k ->
-              let st = Arena.to_state arena (!kept_idx).(k) in
-              (st, Subsume.fingerprint st))
-        in
-        let s_frontier =
-          List.map (fun (idx, pre) -> (Arena.to_state arena idx, pre)) !frontier
-        in
-        ( Marshal.to_string
-            { s_level;
-              s_frontier;
-              s_seen = seen;
-              s_kept;
-              s_nodes;
-              s_pruned;
-              s_deduped;
-              s_subsumed;
-              s_redundant;
-              s_sizes;
-              s_elapsed;
-              s_elapsed_cpu }
-            [],
-          s_level )
-    in
-    while !result = None && !level <= max_depth && !frontier <> [] do
-      let lvl = !level in
-      let nodes0 = Atomic.get nodes in
-      let pruned0 = !pruned_total
-      and deduped0 = !deduped_total
-      and subsumed0 = !subsumed_total
-      and redundant0 = !redundant_total in
-      Span.run ~sink ~name:"level" @@ fun sp ->
-      let moves = sys.moves_at ~level:lvl in
-      let remaining = max_depth - lvl in
-      let last = lvl = max_depth in
-      let candidates = ref [] in
-      (* equality-dup hits are tallied locally and folded in only when
-         the level completes, matching the legacy path (whose dedup
-         phase never runs for an interrupted or over-budget level) *)
-      let level_deduped = ref 0 in
-      let found = ref None in
-      (try
-         List.iter
-           (fun (pidx, pre) ->
-             if cancelled () then raise Exit;
-             let pst = lazy (Arena.to_state arena pidx) in
-             let is_red =
-               if sys.redundant_of == no_redundant then fun _ -> false
-               else sys.redundant_of ~level:lvl (Lazy.force pst)
-             in
-             let redundant = ref 0 in
-             let live =
-               List.filter
-                 (fun m ->
-                   if is_red m then begin
-                     incr redundant;
-                     false
-                   end
-                   else true)
-                 moves
-             in
-             let nlive = List.length live in
-             let before = Atomic.fetch_and_add nodes nlive in
-             let timed_out =
-               match budget.max_seconds with
-               | Some s -> Clock.wall () -. w0 > s
-               | None -> false
-             in
-             if before + nlive > budget.max_nodes || timed_out then begin
-               Atomic.set over_budget true;
-               (* the tripping state's own redundancy tally is
-                  discarded, exactly as the legacy chunk returns
-                  an empty result once the budget trips *)
-               raise Exit
-             end;
-             redundant_total := !redundant_total + !redundant;
-             List.iter
-               (fun m ->
-                 Arena.stage_child arena ~parent:pidx (pairs_of m);
-                 if Arena.staged_is_sorted arena then begin
-                   found := Some (m :: pre);
-                   raise Exit
-                 end
-                 else if last then ()
-                 else if
-                   sys.prune != no_prune
-                   && sys.prune ~level:lvl ~remaining (Arena.staged_state arena)
-                 then incr pruned_total
-                 else
-                   match Arena.commit arena ~level:lvl with
-                   | `Fresh idx -> candidates := (idx, m :: pre) :: !candidates
-                   | `Dup _ -> incr level_deduped)
-               live)
-           !frontier
-       with Exit -> ());
-      let surviving =
-        match !found with
-        | Some rev_moves ->
-            result :=
-              Some
-                (Sorted
-                   { depth = lvl;
-                     moves = List.rev rev_moves;
-                     stats = mk_stats (lvl - 1) });
-            0
-        | None ->
-            if Atomic.get over_budget then begin
-              result := Some (Inconclusive (mk_stats (lvl - 1)));
-              0
-            end
-            else if cancelled () then begin
-              result := Some (Interrupted (mk_stats (lvl - 1)));
-              0
-            end
-            else begin
-              deduped_total := !deduped_total + !level_deduped;
-              let survivors =
-                match sys.dedup with
-                | Equal -> List.rev !candidates
-                | Subsume ->
-                    let ordered =
-                      List.stable_sort
-                        (fun (a, _) (b, _) ->
-                          compare (Arena.card arena a) (Arena.card arena b))
-                        (List.rev !candidates)
-                    in
-                    List.filter
-                      (fun (idx, _) ->
-                        if kept_subsumes idx then begin
-                          incr subsumed_total;
-                          false
-                        end
-                        else begin
-                          kept_insert idx;
-                          true
-                        end)
-                      ordered
-              in
-              let width = List.length survivors in
-              (match frontier_log with
-              | Some f ->
-                  f ~level:lvl
-                    (List.map (fun (idx, _) -> Arena.to_state arena idx)
-                       survivors)
-              | None -> ());
-              sizes := width :: !sizes;
-              frontier := survivors;
-              incr level;
-              width
-            end
+  (* The store: every state the search has seen is a row of one
+     {!Arena} (flat int64 rows + open addressing, no boxed keys), and
+     the subsumption representatives are arena indices kept sorted by
+     ascending cardinality: a rep can only subsume candidates of >= its
+     card (subsumption maps the reachable set injectively), so the scan
+     for a candidate cuts off at the first larger card. *)
+  let arena = Arena.create ~with_sigs:(sys.dedup = Subsume) ~n:sys.n () in
+  let kept_idx = ref (Array.make 256 0) in
+  let kept_card = ref (Array.make 256 0) in
+  let kept_len = ref 0 in
+  let kept_insert idx =
+    if !kept_len = Array.length !kept_idx then begin
+      let grow a =
+        let a' = Array.make (2 * Array.length a) 0 in
+        Array.blit a 0 a' 0 (Array.length a);
+        a'
       in
-      Span.add sp "level" (Sink.Int lvl);
-      Span.add sp "nodes" (Sink.Int (Atomic.get nodes - nodes0));
-      Span.add sp "pruned" (Sink.Int (!pruned_total - pruned0));
-      Span.add sp "deduped" (Sink.Int (!deduped_total - deduped0));
-      Span.add sp "subsumed" (Sink.Int (!subsumed_total - subsumed0));
-      Span.add sp "redundant" (Sink.Int (!redundant_total - redundant0));
-      Span.add sp "frontier" (Sink.Int surviving);
-      (match on_level with
-      | Some f when !result = None -> f ~level:lvl ~frontier:surviving (mk_stats lvl)
-      | Some _ | None -> ());
-      if !result = None then begin
-        boundary_len := Arena.length arena;
-        if ckpt_path <> None then begin
-          let payload = snapshot_payload () in
-          pending := Some payload;
-          if Clock.wall () -. !last_write >= ckpt_interval then
-            flush_payload payload
-        end;
-        if Fault.fire "kill-level" then interrupted := true;
-        if cancelled () then result := Some (Interrupted (mk_stats lvl))
-      end
+      kept_idx := grow !kept_idx;
+      kept_card := grow !kept_card
+    end;
+    let c = Arena.card arena idx in
+    let lo = ref 0 and hi = ref !kept_len in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if (!kept_card).(mid) <= c then lo := mid + 1 else hi := mid
     done;
-    (match (!result, !pending) with
-    | Some (Interrupted _), Some payload ->
-        (* drop the in-flight level's commits so the lazily-built
-           snapshot matches the boundary it was cut at *)
-        Arena.truncate arena !boundary_len;
-        flush_payload payload
-    | _ -> ());
-    Arena.record_metrics arena;
-    match !result with Some r -> r | None -> Unsorted (mk_stats (!level - 1))
+    let pos = !lo in
+    Array.blit !kept_idx pos !kept_idx (pos + 1) (!kept_len - pos);
+    Array.blit !kept_card pos !kept_card (pos + 1) (!kept_len - pos);
+    (!kept_idx).(pos) <- idx;
+    (!kept_card).(pos) <- c;
+    incr kept_len
+  in
+  let kept_subsumes cand =
+    let c = Arena.card arena cand in
+    let k = ref 0 and hit = ref false in
+    while (not !hit) && !k < !kept_len && (!kept_card).(!k) <= c do
+      if Arena.subsumes arena (!kept_idx).(!k) cand then hit := true;
+      incr k
+    done;
+    !hit
+  in
+  (* the frontier: arena indices with their reversed move prefixes *)
+  let frontier = ref [] in
+  (match snap with
+  | None -> frontier := [ (commit_state arena sys.initial, []) ]
+  | Some s ->
+      (* rehydrate the snapshot: every seen state becomes a committed
+         row, then kept and frontier resolve to their indices by dedup *)
+      Hashtbl.iter
+        (fun key () -> ignore (commit_state arena (State.of_key ~n:sys.n key)))
+        s.s_seen;
+      List.iter
+        (fun (st, _fp) -> kept_insert (commit_state arena st))
+        (List.rev s.s_kept);
+      frontier := List.map (fun (st, pre) -> (commit_state arena st, pre)) s.s_frontier);
+  let result = ref None in
+  let level = ref (from_snap (fun s -> s.s_level) 1) in
+  (* last completed boundary's row count: an interrupted level's
+     commits are truncated back to it before the final flush *)
+  let boundary_len = ref (Arena.length arena) in
+  (* Capture the boundary NOW but serialize lazily, at flush time: the
+     scalars are pinned eagerly, the structures (arena rows, kept,
+     frontier) only change at the next boundary — which installs a
+     fresh thunk first. Skipped boundaries therefore cost a closure,
+     not a Marshal of the whole search state. The payload keeps the
+     boxed [State.t] layout of [checkpoint_kind]. *)
+  let snapshot_payload () =
+    let s_level = !level
+    and s_nodes = !nodes
+    and s_pruned = !pruned_total
+    and s_deduped = !deduped_total
+    and s_subsumed = !subsumed_total
+    and s_redundant = !redundant_total
+    and s_sizes = !sizes
+    and s_elapsed = Clock.wall () -. w0
+    and s_elapsed_cpu = Clock.cpu () -. cpu0 in
+    fun () ->
+      let seen = Hashtbl.create (2 * Arena.length arena) in
+      for idx = 0 to Arena.length arena - 1 do
+        Hashtbl.replace seen (State.key (Arena.to_state arena idx)) ()
+      done;
+      let s_kept =
+        List.init !kept_len (fun k ->
+            let st = Arena.to_state arena (!kept_idx).(k) in
+            (st, Subsume.fingerprint st))
+      in
+      let s_frontier =
+        List.map (fun (idx, pre) -> (Arena.to_state arena idx, pre)) !frontier
+      in
+      ( Marshal.to_string
+          { s_level;
+            s_frontier;
+            s_seen = seen;
+            s_kept;
+            s_nodes;
+            s_pruned;
+            s_deduped;
+            s_subsumed;
+            s_redundant;
+            s_sizes;
+            s_elapsed;
+            s_elapsed_cpu }
+          [],
+        s_level )
+  in
+  (* nodes are charged per entry, before its moves are applied *)
+  let charge live =
+    nodes := !nodes + live;
+    let timed_out =
+      match budget.max_seconds with
+      | Some s -> Clock.wall () -. w0 > s
+      | None -> false
+    in
+    if !nodes > budget.max_nodes || timed_out then begin
+      over_budget := true;
+      false
+    end
+    else true
+  in
+  (* One level: expand every frontier entry in order, committing each
+     surviving child (equality dedup against every row ever committed);
+     then, under subsumption dedup, filter the fresh rows against the
+     kept representatives in ascending-cardinality order. Returns the
+     surviving frontier width, and sets [result] when the level ends
+     the search instead. *)
+  let step lvl =
+    let candidates = ref [] in
+    (* equality-dup hits are folded in only when the level completes *)
+    let level_deduped = ref 0 in
+    let commit pre =
+      match Arena.commit arena ~level:lvl with
+      | `Fresh idx -> candidates := (idx, pre) :: !candidates
+      | `Dup _ -> incr level_deduped
+    in
+    let found = ref None in
+    let account x =
+      redundant_total := !redundant_total + x.redundant;
+      pruned_total := !pruned_total + x.pruned;
+      match x.found with
+      | Some rev_moves ->
+          found := Some rev_moves;
+          raise Exit
+      | None ->
+          List.iter
+            (fun (st, pre) ->
+              Arena.stage_state arena st;
+              commit pre)
+            x.children
+    in
+    (try
+       match expand with
+       | None ->
+           let moves = sys.moves_at ~level:lvl in
+           List.iter
+             (fun ((_, pre) as entry) ->
+               if cancelled () then raise Exit;
+               match
+                 expand_row sys arena ~level:lvl ~max_depth ~moves ~charge
+                   ~emit:(fun m -> commit (m :: pre))
+                   entry
+               with
+               | None -> raise Exit
+               | Some x -> account x)
+             !frontier
+       | Some f ->
+           (* expanded elsewhere; replayed here in global entry order *)
+           List.iter
+             (fun x ->
+               if cancelled () || not (charge x.live) then raise Exit;
+               account x)
+             (f ~level:lvl
+                (List.map
+                   (fun (idx, pre) -> (Arena.to_state arena idx, pre))
+                   !frontier))
+     with Exit -> ());
+    match !found with
+    | Some rev_moves ->
+        result :=
+          Some
+            (Sorted
+               { depth = lvl; moves = List.rev rev_moves; stats = mk_stats (lvl - 1) });
+        0
+    | None when !over_budget ->
+        result := Some (Inconclusive (mk_stats (lvl - 1)));
+        0
+    | None when cancelled () ->
+        (* killed mid-level: the partial level is discarded; the
+           checkpoint (if any) holds the last completed boundary, so a
+           resumed run repeats exactly this level *)
+        result := Some (Interrupted (mk_stats (lvl - 1)));
+        0
+    | None ->
+        deduped_total := !deduped_total + !level_deduped;
+        let survivors =
+          match sys.dedup with
+          | Equal -> List.rev !candidates
+          | Subsume ->
+              List.filter
+                (fun (idx, _) ->
+                  if kept_subsumes idx then begin
+                    incr subsumed_total;
+                    false
+                  end
+                  else begin
+                    kept_insert idx;
+                    true
+                  end)
+                (List.stable_sort
+                   (fun (a, _) (b, _) ->
+                     compare (Arena.card arena a) (Arena.card arena b))
+                   (List.rev !candidates))
+        in
+        let width = List.length survivors in
+        (match frontier_log with
+        | Some f ->
+            f ~level:lvl
+              (List.map (fun (idx, _) -> Arena.to_state arena idx) survivors)
+        | None -> ());
+        sizes := width :: !sizes;
+        frontier := survivors;
+        incr level;
+        width
   in
   Span.run ~sink ~name:"search" @@ fun search_sp ->
   let outcome =
     if State.is_sorted sys.initial then
       Sorted { depth = 0; moves = []; stats = mk_stats 0 }
-    else if use_arena then run_arena ()
     else begin
-      (* cross-level memory: states already represented (sound — the
-         earlier occurrence reaches any sorted descendant no later) *)
-      let seen : (int array, unit) Hashtbl.t =
-        match snap with Some s -> s.s_seen | None -> Hashtbl.create 4096
-      in
-      if Option.is_none snap then Hashtbl.replace seen (State.key sys.initial) ();
-      let kept : (State.t * Subsume.fingerprint) list ref =
-        ref (match snap with Some s -> s.s_kept | None -> [])
-      in
-      let frontier =
-        ref
-          (match snap with
-          | Some s -> s.s_frontier
-          | None -> [ (sys.initial, []) ])
-      in
-      let result = ref None in
-      let level = ref (match snap with Some s -> s.s_level | None -> 1) in
-      (* Capture the boundary NOW but serialize lazily, at flush time:
-         the scalars below are overwritten by the very next level's
-         expansion, so they are pinned eagerly, while the structures
-         ([frontier] / [seen] / [kept]) are only mutated at the next
-         boundary — which installs a fresh thunk before anything can
-         flush this one. Skipped boundaries therefore cost a closure,
-         not a Marshal of the whole search state. *)
-      let snapshot_payload () =
-        let s_level = !level
-        and s_nodes = Atomic.get nodes
-        and s_pruned = !pruned_total
-        and s_deduped = !deduped_total
-        and s_subsumed = !subsumed_total
-        and s_redundant = !redundant_total
-        and s_sizes = !sizes
-        and s_elapsed = Clock.wall () -. w0
-        and s_elapsed_cpu = Clock.cpu () -. cpu0 in
-        fun () ->
-          ( Marshal.to_string
-              { s_level;
-                s_frontier = !frontier;
-                s_seen = seen;
-                s_kept = !kept;
-                s_nodes;
-                s_pruned;
-                s_deduped;
-                s_subsumed;
-                s_redundant;
-                s_sizes;
-                s_elapsed;
-                s_elapsed_cpu }
-              [],
-            s_level )
-      in
       while !result = None && !level <= max_depth && !frontier <> [] do
         let lvl = !level in
-        let nodes0 = Atomic.get nodes in
-        let pruned0 = !pruned_total
+        let nodes0 = !nodes
+        and pruned0 = !pruned_total
         and deduped0 = !deduped_total
         and subsumed0 = !subsumed_total
         and redundant0 = !redundant_total in
         (* nested under the "search" span: the event path is
            "search/level" *)
         Span.run ~sink ~name:"level" @@ fun sp ->
-        let moves = sys.moves_at ~level:lvl in
-        let remaining = max_depth - lvl in
-        let last = lvl = max_depth in
-        let expand (st, pre) =
-          (* analysis hook: moves the system proves redundant for this
-             state (another available move reaches the same child) are
-             skipped before they are applied or counted as nodes *)
-          let is_red = sys.redundant_of ~level:lvl st in
-          let redundant = ref 0 in
-          let live =
-            List.filter
-              (fun m ->
-                if is_red m then begin
-                  incr redundant;
-                  false
-                end
-                else true)
-              moves
-          in
-          let nlive = List.length live in
-          let before = Atomic.fetch_and_add nodes nlive in
-          let timed_out =
-            match budget.max_seconds with
-            | Some s -> Clock.wall () -. w0 > s
-            | None -> false
-          in
-          if before + nlive > budget.max_nodes || timed_out then begin
-            Atomic.set over_budget true;
-            Atomic.set stop true;
-            (None, [], 0, 0)
-          end
-          else begin
-            let found = ref None in
-            let cands = ref [] in
-            let pruned = ref 0 in
-            (try
-               List.iter
-                 (fun m ->
-                   let st' = sys.apply m st in
-                   if State.is_sorted st' then begin
-                     found := Some (m :: pre);
-                     Atomic.set stop true;
-                     raise Exit
-                   end
-                   else if last then ()
-                   else if sys.prune ~level:lvl ~remaining st' then incr pruned
-                   else cands := (st', m :: pre) :: !cands)
-                 live
-             with Exit -> ());
-            (!found, List.rev !cands, !pruned, !redundant)
-          end
-        in
-        let chunks =
-          Par.map_list_until ~min_per_domain:expand_min_per_domain ~domains
-            ~stop:(fun () -> Atomic.get stop || cancelled ())
-            ~default:(None, [], 0, 0) expand !frontier
-        in
-        List.iter
-          (fun (_, _, p, r) ->
-            pruned_total := !pruned_total + p;
-            redundant_total := !redundant_total + r)
-          chunks;
-        let surviving =
-          match List.find_map (fun (f, _, _, _) -> f) chunks with
-          | Some rev_moves ->
-              result :=
-                Some
-                  (Sorted
-                     { depth = lvl;
-                       moves = List.rev rev_moves;
-                       stats = mk_stats (lvl - 1) });
-              0
-          | None ->
-              if Atomic.get over_budget then begin
-                result := Some (Inconclusive (mk_stats (lvl - 1)));
-                0
-              end
-              else if cancelled () then begin
-                (* killed mid-level: the current level's partial work is
-                   discarded; the checkpoint (if any) holds the last
-                   completed boundary, so a resumed run repeats exactly
-                   this level and the cumulative counts match a
-                   never-interrupted run *)
-                result := Some (Interrupted (mk_stats (lvl - 1)));
-                0
-              end
-              else begin
-                let candidates =
-                  List.concat_map (fun (_, c, _, _) -> c) chunks
-                in
-                (* equality dedup against everything ever seen *)
-                let fresh =
-                  List.filter
-                    (fun (st, _) ->
-                      let k = State.key st in
-                      if Hashtbl.mem seen k then begin
-                        incr deduped_total;
-                        false
-                      end
-                      else begin
-                        Hashtbl.replace seen k ();
-                        true
-                      end)
-                    candidates
-                in
-                let survivors =
-                  match sys.dedup with
-                  | Equal -> fresh
-                  | Subsume ->
-                      let with_fp =
-                        Par.map_list ~min_per_domain:expand_min_per_domain
-                          ~domains
-                          (fun (st, pre) -> (st, pre, Subsume.fingerprint st))
-                          fresh
-                      in
-                      let ordered =
-                        List.stable_sort
-                          (fun (_, _, fa) (_, _, fb) ->
-                            compare fa.Subsume.card fb.Subsume.card)
-                          with_fp
-                      in
-                      let kept_states, dropped =
-                        subsume_filter ~domains ~kept ordered
-                      in
-                      subsumed_total := !subsumed_total + dropped;
-                      kept_states
-                in
-                let width = List.length survivors in
-                (match frontier_log with
-                | Some f -> f ~level:lvl (List.map fst survivors)
-                | None -> ());
-                sizes := width :: !sizes;
-                frontier := survivors;
-                incr level;
-                width
-              end
-        in
+        let surviving = step lvl in
         (* per-level deltas: summing these fields over all level events
            reproduces the run's final stats exactly *)
         Span.add sp "level" (Sink.Int lvl);
-        Span.add sp "nodes" (Sink.Int (Atomic.get nodes - nodes0));
+        Span.add sp "nodes" (Sink.Int (!nodes - nodes0));
         Span.add sp "pruned" (Sink.Int (!pruned_total - pruned0));
         Span.add sp "deduped" (Sink.Int (!deduped_total - deduped0));
         Span.add sp "subsumed" (Sink.Int (!subsumed_total - subsumed0));
         Span.add sp "redundant" (Sink.Int (!redundant_total - redundant0));
         Span.add sp "frontier" (Sink.Int surviving);
-        (match on_level with
-        | Some f when !result = None ->
-            (* level lvl fully expanded and deduplicated *)
-            f ~level:lvl ~frontier:surviving (mk_stats lvl)
-        | Some _ | None -> ());
-        (* level boundary: cut a snapshot, flush on the cadence *)
         if !result = None then begin
+          (match on_level with
+          | Some f -> f ~level:lvl ~frontier:surviving (mk_stats lvl)
+          | None -> ());
+          (* level boundary: cut a snapshot, flush on the cadence *)
+          boundary_len := Arena.length arena;
           if ckpt_path <> None then begin
             let payload = snapshot_payload () in
             pending := Some payload;
@@ -839,21 +598,26 @@ let run ?(domains = 1) ?(engine = (`Auto : engine)) ?(budget = default_budget)
           (* simulated mid-run kill: fires after the boundary flush so
              every incarnation makes progress (exactly one level) *)
           if Fault.fire "kill-level" then interrupted := true;
-          if cancelled () then
-            result := Some (Interrupted (mk_stats lvl))
+          if cancelled () then result := Some (Interrupted (mk_stats lvl))
         end
       done;
       (* a final flush covers boundaries the cadence skipped, so an
-         interrupted run never loses more than the in-flight level *)
+         interrupted run never loses more than the in-flight level; the
+         in-flight level's commits are dropped first so the lazily built
+         snapshot matches the boundary it was cut at *)
       (match (!result, !pending) with
-      | Some (Interrupted _), Some payload -> flush_payload payload
+      | Some (Interrupted _), Some payload ->
+          Arena.truncate arena !boundary_len;
+          flush_payload payload
       | _ -> ());
+      Arena.record_metrics arena;
       match !result with
       | Some r -> r
       | None ->
-          (* loop left because level > max_depth or the frontier emptied:
-             every reachable state was explored with its maximal
-             remaining budget, so no prefix of <= max_depth moves sorts *)
+          (* loop left because level > max_depth or the frontier
+             emptied: every reachable state was explored with its
+             maximal remaining budget, so no prefix of <= max_depth
+             moves sorts *)
           Unsorted (mk_stats (!level - 1))
     end
   in
@@ -864,7 +628,12 @@ let run ?(domains = 1) ?(engine = (`Auto : engine)) ?(budget = default_budget)
     | Inconclusive stats -> (stats, "inconclusive")
     | Interrupted stats -> (stats, "interrupted")
   in
-  record_totals s;
+  Metrics.add c_nodes s.nodes;
+  Metrics.add c_pruned s.pruned;
+  Metrics.add c_deduped s.deduped;
+  Metrics.add c_subsumed s.subsumed;
+  Metrics.add c_redundant s.redundant;
+  Metrics.add c_levels s.completed_levels;
   Span.add search_sp "outcome" (Sink.Str verdict);
   Span.add search_sp "nodes" (Sink.Int s.nodes);
   Span.add search_sp "pruned" (Sink.Int s.pruned);
@@ -918,17 +687,16 @@ let network_system ?(restrict = true) ~n () =
     tag = (if restrict then "layers" else "layers-reference");
     initial = State.initial ~n;
     moves_at;
-    apply = (fun layer st -> State.apply_comparators st layer);
-    pairs_of = Some (fun layer -> layer);
+    stage = Arena.comparators;
     prune = no_prune;
     redundant_of;
     dedup = (if restrict then Subsume else Equal) }
 
-let optimal_depth ?domains ?engine ?budget ?sink ?on_level ?frontier_log
+let optimal_depth ?domains:_ ?engine:_ ?budget ?sink ?on_level ?frontier_log
     ?cancel ?checkpoint ?resume ?restrict ?max_depth ~n () =
   let max_depth = match max_depth with Some d -> d | None -> n in
-  run ?domains ?engine ?budget ?sink ?on_level ?frontier_log ?cancel
-    ?checkpoint ?resume ~max_depth
+  run ?budget ?sink ?on_level ?frontier_log ?cancel ?checkpoint ?resume
+    ~max_depth
     (network_system ?restrict ~n ())
 
 let witness_network ~n layers =

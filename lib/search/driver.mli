@@ -1,31 +1,34 @@
 (** Layered breadth-first search for exact small-network bounds, with
     frontier deduplication, pluggable move generation, a node/time
-    budget, multicore expansion, and built-in observability.
+    budget, and built-in observability.
 
     The driver is generic over the move type ['m] so that both the
     general sorting-network search (moves = comparator layers, frontier
-    deduplicated by {!Subsume}) and the shuffle-restricted register
+    deduplicated by subsumption) and the shuffle-restricted register
     search of {!Min_depth} (moves = op vectors, frontier deduplicated
     by state equality — channel permutations do not commute with the
     fixed shuffle, so subsumption would be unsound there) are thin
-    instantiations.
+    instantiations. A system names each move's effect as one
+    {!Arena.stage} (wire permutation, comparators, wire swaps), so
+    every search runs on the same packed {!Arena} store: one level
+    loop, one frontier representation.
 
     Level [k] of the BFS holds representatives of every state reachable
     by a [k]-move prefix. Each level expands every frontier entry by
-    every move; a child that {!State.is_sorted} resolves the search
-    immediately (its move list is the witness), a child failing the
-    system's [prune] test or subsumed by a representative already kept
-    (at this or any earlier level — both reductions preserve at least
-    one depth-optimal witness) is dropped. The search is exhaustive up
-    to those reductions, so [Unsorted] is a proof that no [max_depth]-
-    move prefix sorts, and the first level at which a sorted child
-    appears is the exact optimum.
+    every move; a child that is sorted resolves the search immediately
+    (its move list is the witness), a child failing the system's
+    [prune] test or subsumed by a representative already kept (at this
+    or any earlier level — both reductions preserve at least one
+    depth-optimal witness) is dropped. The search is exhaustive up to
+    those reductions, so [Unsorted] is a proof that no [max_depth]-move
+    prefix sorts, and the first level at which a sorted child appears
+    is the exact optimum.
 
-    Expansion fans out across OCaml 5 domains via {!Par.map_list}, as
-    does the candidates-versus-kept part of the subsumption filter; a
-    shared atomic flag short-circuits all domains once a witness is
-    found or the budget trips. With [domains = 1] everything runs
-    inline and deterministically.
+    A run is single-domain and deterministic: outcome, witness and
+    every statistic are a function of the system, [max_depth] and the
+    node budget alone. Process-level fan-out lives in
+    {!Shard_search}, which expands slices with {!expand_entries} and
+    hands the results back to {!run}.
 
     Observability: a run wrapped around an {!Obs.Sink} emits one
     ["span"] event per level (path ["search/level"]) whose [nodes] /
@@ -58,9 +61,7 @@
 type budget = { max_nodes : int; max_seconds : float option }
 (** [max_nodes] bounds move applications (edges explored);
     [max_seconds] optionally bounds {e wall-clock} time
-    ({!Obs.Clock.wall}), so a budget means the same seconds at any
-    [domains] count. (Earlier versions metered [Sys.time], which sums
-    CPU over domains and tripped [domains]x too early.) *)
+    ({!Obs.Clock.wall}). *)
 
 val default_budget : budget
 (** 200 million nodes, no time cap. *)
@@ -80,9 +81,7 @@ type stats = {
       (** levels fully expanded and deduplicated; on [Inconclusive],
           depths up to this value are exhaustively refuted *)
   elapsed : float;  (** wall-clock seconds *)
-  elapsed_cpu : float;
-      (** CPU seconds, summed over domains (>= [elapsed] on multicore
-          runs when cores are busy) *)
+  elapsed_cpu : float;  (** CPU seconds *)
 }
 
 type 'm outcome =
@@ -109,15 +108,9 @@ type 'm system = {
   initial : State.t;
   moves_at : level:int -> 'm list;
       (** moves available for the layer at 1-based [level] *)
-  apply : 'm -> State.t -> State.t;
-  pairs_of : ('m -> (int * int) list) option;
-      (** when every move is a plain comparator layer, the ascending
-          [(i, j)] pairs it applies — [Some] unlocks the {!Arena}
-          engine, whose word-parallel butterfly replaces [apply];
-          [None] (moves that are not comparator layers, e.g. the
-          shuffled op vectors of [Min_depth]) pins the run to the
-          legacy engine. When [Some f], [f m] and [apply m] must agree:
-          [apply m st = State.apply_comparators st (f m)]. *)
+  stage : 'm -> Arena.stage;
+      (** the effect of a move on the reachable set, applied to the
+          packed rows by the arena's word-parallel butterflies *)
   prune : level:int -> remaining:int -> State.t -> bool;
       (** sound necessary-condition filter: [true] only if the state
           cannot reach a sorted state within [remaining] more moves *)
@@ -137,29 +130,31 @@ type 'm system = {
 val no_prune : level:int -> remaining:int -> State.t -> bool
 val no_redundant : level:int -> State.t -> 'a -> bool
 
-val subsume_filter :
-  domains:int ->
-  kept:(State.t * Subsume.fingerprint) list ref ->
-  (State.t * 'a * Subsume.fingerprint) list ->
-  (State.t * 'a) list * int
-(** The driver's greedy subsumption filter, exposed so the sharded
-    coordinator ({!Shard_search}) merges with {e the same} decision
-    procedure the in-process engines use. [candidates] must already be
-    equality-deduped and sorted by ascending fingerprint cardinality;
-    survivors are appended to [kept] and returned with the number
-    dropped. For every [domains] the kept set equals the plain
-    sequential greedy filter's (fan-out only parallelises the test
-    against representatives frozen before each batch). *)
+type engine = [ `Arena ]
+(** The only engine. Kept so callers that still name it (the
+    benchmark harness) build unchanged; {!run} ignores it. *)
 
-type engine = [ `Auto | `Legacy | `Arena ]
-(** Which frontier representation {!run} executes on. [`Legacy] is the
-    boxed [State.t] list / [Hashtbl] path with {!Par} fan-out;
-    [`Arena] is the packed single-domain {!Arena} path (requires
-    [pairs_of]); [`Auto] (the default) picks the arena whenever the
-    system exposes [pairs_of]. Both engines explore candidates in the
-    same order with boolean-identical dedup and subsumption decisions,
-    so outcome, witness, stats and checkpoints are interchangeable —
-    a snapshot written by either engine resumes into either. *)
+type 'm expansion = {
+  found : 'm list option;
+      (** the reversed move prefix of the entry's first sorted child;
+          the entry's later moves were not applied *)
+  children : (State.t * 'm list) list;
+      (** the children that are neither sorted nor pruned, in move
+          order, each with its reversed move prefix *)
+  pruned : int;
+  redundant : int;  (** moves the [redundant_of] hook skipped *)
+  live : int;  (** moves applied: what the entry costs the node budget *)
+}
+(** One frontier entry expanded by one level's moves. Plain data, so it
+    can cross a process boundary. *)
+
+val expand_entries :
+  'm system -> max_depth:int -> level:int -> (State.t * 'm list) list ->
+  'm expansion list
+(** [expand_entries sys ~max_depth ~level entries] expands each entry
+    (a state with its reversed move prefix) exactly as {!run} does at
+    [level], on a private arena, without budget checks, and stops after
+    the first entry with a sorted child. *)
 
 type resume_state
 (** A validated checkpoint snapshot, ready to hand to {!run}. *)
@@ -184,26 +179,30 @@ val run :
   ?cancel:Cancel.t ->
   ?checkpoint:string * float ->
   ?resume:resume_state ->
+  ?expand:(level:int -> (State.t * 'm list) list -> 'm expansion list) ->
   max_depth:int ->
   'm system ->
   'm outcome
 (** [run ~max_depth sys] searches prefixes of up to [max_depth] moves.
-    [domains] (default 1) parallelises expansion and subsumption
-    filtering on the legacy engine; the arena engine (see {!engine})
-    runs single-domain and ignores the fan-out. [sink] (default {!Sink.null}) receives the per-level
-    and closing span events; [on_level ~level ~frontier stats] fires
-    after each {e completed} level with the surviving frontier size
-    and a cumulative stats snapshot. [frontier_log ~level states]
-    receives each completed level's surviving states in frontier
-    order — identical on both engines — the feed certificate emitters
-    consume. [cancel] is polled by every
-    worker domain between expansions and at level boundaries; once
-    tripped the fan-out drains and the run returns [Interrupted].
-    [checkpoint:(path, interval)] snapshots progress at level
-    boundaries at most every [interval] seconds (see the module
-    preamble); [resume] continues from such a snapshot. With
-    [domains > 1] the witness (not its length) and the node counts may
-    vary between runs; every outcome is sound. *)
+    [domains] and [engine] are accepted and ignored: the search is
+    single-domain on the arena. [sink] (default {!Sink.null}) receives
+    the per-level and closing span events; [on_level ~level ~frontier
+    stats] fires after each {e completed} level with the surviving
+    frontier size and a cumulative stats snapshot. [frontier_log
+    ~level states] receives each completed level's surviving states in
+    frontier order — the feed certificate emitters consume. [cancel]
+    is polled between frontier entries and at level boundaries; once
+    tripped the run returns [Interrupted]. [checkpoint:(path,
+    interval)] snapshots progress at level boundaries at most every
+    [interval] seconds (see the module preamble); [resume] continues
+    from such a snapshot.
+
+    [expand ~level entries], when given, replaces the in-process
+    expansion of each level: it must return the {!expand_entries} of
+    [entries] (or a prefix of them ending at the first entry with a
+    sorted child), or [[]] once [cancel] has tripped. The run then
+    charges the budget, counts, dedups and subsumes the returned
+    children in entry order, exactly as for an in-process level. *)
 
 (** {1 Sorting-network instantiation} *)
 

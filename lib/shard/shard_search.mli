@@ -1,45 +1,32 @@
-(** Process-sharded exact-depth search (ROADMAP item 1(c)).
+(** Process-sharded exact-depth search.
 
-    Runs {!Driver}'s layered BFS with each level's frontier expansion
-    partitioned into [shards] contiguous slices, every slice expanded
-    in a forked worker under the {!Shard} supervisor, and the per-level
-    results merged by the coordinator with {e the same} decision
-    procedure the in-process engines use — so the outcome, witness,
-    and every decision statistic ([nodes] / [pruned] / [deduped] /
-    [subsumed] / [redundant] / [frontier_sizes] / [completed_levels])
-    are identical to [Driver.run ~domains:1] on the same system, even
-    when every worker attempt is killed, stalled, or corrupted once
-    ({!Fault} ["kill-worker"] / ["stall-worker"] / ["corrupt-result"]:
-    the supervisor retries and the merge is idempotent).
+    Runs {!Driver.run} with each level's frontier expansion partitioned
+    into [shards] contiguous slices, every slice expanded in a forked
+    worker under the {!Shard} supervisor by the driver's own per-entry
+    step ({!Driver.expand_entries}, on a worker-local arena). The
+    coordinator is {!Driver.run} itself: it charges the budget, counts,
+    dedups and subsumes the workers' children in global entry order,
+    in the same store and by the same code as an in-process level. So
+    the outcome, witness, and every decision statistic ([nodes] /
+    [pruned] / [deduped] / [subsumed] / [redundant] / [frontier_sizes]
+    / [completed_levels]) are identical to [Driver.run] on the same
+    system, even when every worker attempt is killed, stalled, or
+    corrupted once ({!Fault} ["kill-worker"] / ["stall-worker"] /
+    ["corrupt-result"]: the supervisor retries and a slice's expansion
+    is a pure function of its entries).
 
-    How identity is preserved: workers expand their slice {e without}
-    global budget checks and return per-entry records (sorted-witness,
-    candidate children with fingerprints, prune/redundant/live-move
-    tallies); the coordinator replays the sequential semantics over
-    the records in global entry order — nodes are charged per entry
-    and the budget consulted before the entry's other tallies count, a
-    found witness stops the scan so later entries contribute nothing,
-    equality dedup and the greedy subsumption filter
-    ({!Driver.subsume_filter}) run exactly as in-process. Fingerprints
-    are computed worker-side (a pure function — decision-neutral) so
-    that phase parallelises too.
-
-    Known divergences from [Driver.run], by design: [budget.max_seconds]
-    is only consulted at level boundaries (a wall-clock budget is
-    inherently racy; node budgets merge identically), workers expand
-    their whole slice even when another slice already tripped the node
-    budget (the merge discards the excess, so only wasted work — never
-    a different decision), and an [Interrupted] outcome reports the
-    last {e completed} level (partial-level tallies of a mid-level
-    cancel are not reproduced). [stats.elapsed_cpu] covers the
-    coordinator only.
+    Known divergences from an in-process run, by design: workers
+    expand their whole slice even when an earlier entry trips the node
+    budget (the coordinator discards the excess, so only wasted work —
+    never a different decision), [budget.max_seconds] is read by the
+    coordinator while it replays a level rather than while workers
+    expand it, and [stats.elapsed_cpu] covers the coordinator only.
 
     Why processes rather than domains: forked workers own a private
     heap and GC and die independently — a crash, stall, or OOM in one
-    slice costs one retried unit, not the run — which is what lets the
-    n=9–10 regime (hour-scale frontiers) run unattended. On multi-core
-    hosts the slices also parallelise without sharing a runtime; on a
-    single core the supervisor adds only a few ms per level. *)
+    slice costs one retried unit, not the run. On multi-core hosts the
+    slices also parallelise without sharing a runtime; on a single
+    core the supervisor adds only a few ms per level. *)
 
 val run :
   ?sink:Sink.t ->

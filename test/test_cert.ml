@@ -1,7 +1,7 @@
 (* Tests for the certificate layer (lib/cert + its emitters): soundness
    of the bounds order-matrix facts the certificates cite, print/parse
-   round-trips through the portable text format, engine-independence of
-   exhaustion certificates, and rejection of corrupted certificates
+   round-trips through the portable text format, the n=6 exhaustion
+   certificate against its recorded digest, and rejection of corrupted certificates
    with typed CRT*** errors. The checker shares no code with the
    engine, searcher, or analyzer, so every accepted certificate here is
    an independent confirmation of the emitting component. *)
@@ -91,15 +91,14 @@ let test_registry_roundtrip () =
                 (List.length certs)))
     Sorter_registry.all
 
-(* --- the two search engines log identical frontiers and therefore
-   emit byte-identical exhaustion certificates (n=6, depth 4) --- *)
+(* --- the search logs the frontiers the legacy engine logged, so its
+   exhaustion certificate (n=6, depth 4) is byte-identical to the one
+   recorded in golden/ --- *)
 
-let exhaustion_text ~engine ~n ~max_depth =
+let exhaustion_text ~n ~max_depth =
   let frontiers = ref [] in
   let frontier_log ~level:_ states = frontiers := states :: !frontiers in
-  match
-    Driver.optimal_depth ~engine ~frontier_log ~restrict:false ~max_depth ~n ()
-  with
+  match Driver.optimal_depth ~frontier_log ~restrict:false ~max_depth ~n () with
   | Driver.Unsorted _ -> (
       match
         Cert_emit.exhaustion ~n ~max_depth ~frontiers:(List.rev !frontiers)
@@ -109,10 +108,12 @@ let exhaustion_text ~engine ~n ~max_depth =
   | _ -> Alcotest.fail "expected Unsorted at n=6 depth 4"
 
 let test_exhaustion_engines_identical () =
-  let legacy = exhaustion_text ~engine:`Legacy ~n:6 ~max_depth:4 in
-  let arena = exhaustion_text ~engine:`Arena ~n:6 ~max_depth:4 in
-  check_string "legacy = arena (byte-identical)" legacy arena;
-  match Cert.parse legacy with
+  let n = 6 and max_depth = 4 in
+  let text = exhaustion_text ~n ~max_depth in
+  Golden.check "cert.txt"
+    (Golden.key ~n ~max_depth None)
+    ("exhaustion-digest " ^ Digest.to_hex (Digest.string text));
+  match Cert.parse text with
   | Error e -> Alcotest.failf "reparse rejected: %s" e.Cert.reason
   | Ok certs -> check_string "checks" "ok" (code_of (Cert.check_all certs))
 
@@ -219,7 +220,7 @@ let () =
       ( "roundtrip",
         [
           Alcotest.test_case "registry-n8" `Quick test_registry_roundtrip;
-          Alcotest.test_case "engines-identical-n6" `Quick
+          Alcotest.test_case "golden-digest-n6" `Quick
             test_exhaustion_engines_identical;
         ] );
       ( "kinds",

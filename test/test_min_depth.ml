@@ -63,6 +63,18 @@ let test_minimal_unknown () =
   | Min_depth.Minimal _ | Min_depth.No_sorter ->
       Alcotest.fail "a 50-node budget cannot decide n=8"
 
+let test_golden () =
+  (* every run of this file's cases, through the driver with its
+     stats: outcome, witness and decision counters must equal the
+     legacy engine's, recorded in golden/shuffle.txt *)
+  List.iter
+    (fun (n, max_depth, b) ->
+      Golden.check "shuffle.txt"
+        (Golden.key ~n ~max_depth b)
+        (Golden.render_shuffle
+           (Driver.run ~budget:(Golden.budget_of b) ~max_depth (Min_depth.system ~n))))
+    Golden.shuffle_runs
+
 let test_invalid_n () =
   check_bool "rejects n=6" true
     (match Min_depth.search ~n:6 ~depth:1 () with
@@ -79,4 +91,5 @@ let () =
           Alcotest.test_case "bitonic as witness" `Quick test_bitonic_witness_shape;
           Alcotest.test_case "budget honoured" `Quick test_budget_reported;
           Alcotest.test_case "minimal_depth reports Unknown" `Quick test_minimal_unknown;
-          Alcotest.test_case "invalid n" `Quick test_invalid_n ] ) ]
+          Alcotest.test_case "invalid n" `Quick test_invalid_n;
+          Alcotest.test_case "legacy golden files" `Quick test_golden ] ) ]

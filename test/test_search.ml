@@ -415,7 +415,7 @@ let random_frontier rng arena n steps =
     in
     let layer = random_layer rng n in
     let st' = State.apply_comparators st layer in
-    Arena.stage_child arena ~parent:idx layer;
+    Arena.stage_child arena ~parent:idx (Arena.comparators layer);
     ok := !ok && Arena.staged_is_sorted arena = State.is_sorted st';
     match Arena.commit arena ~level:1 with
     | `Fresh idx' ->
@@ -492,54 +492,94 @@ let prop_arena_subsumes_parity =
              Arena.subsumes arena ia ib = Subsume.subsumes_states sa sb)
            (List.init 250 Fun.id))
 
+(* --- the arena's general stage against the boxed State reference --- *)
+
+(* a random set of reachable masks *)
+let random_state rng n =
+  let card = 1 + Xoshiro.int rng ~bound:(min 200 (1 lsl n)) in
+  State.of_masks ~n (List.init card (fun _ -> Xoshiro.int rng ~bound:(1 lsl n)))
+
+let staged_image arena st stage =
+  Arena.stage_state arena st;
+  let parent =
+    match Arena.commit arena ~level:0 with `Fresh i | `Dup i -> i
+  in
+  Arena.stage_child arena ~parent stage;
+  Arena.staged_state arena
+
+let prop_stage_comparators =
+  QCheck.Test.make
+    ~name:"Arena.stage_child (layer) = State.apply_comparators (n=2..10)"
+    ~count:200
+    QCheck.(pair (int_range 0 1_000_000) (int_range 2 10))
+    (fun (seed, n) ->
+      let rng = Xoshiro.of_seed seed in
+      let arena = Arena.create ~with_sigs:false ~n () in
+      List.for_all
+        (fun _ ->
+          let st = random_state rng n and layer = random_layer rng n in
+          State.equal
+            (staged_image arena st (Arena.comparators layer))
+            (State.apply_comparators st layer))
+        (List.init 5 Fun.id))
+
+(* the register model's own evaluation of one shuffle stage, mask by
+   mask — independent of the arena and of the search system *)
+let shuffle_reference ~n ops =
+  let prog = Register_model.shuffle_program ~n [ ops ] in
+  fun m ->
+    let out = Register_model.eval prog (Array.init n (fun w -> (m lsr w) land 1)) in
+    let r = ref 0 in
+    Array.iteri (fun w v -> if v = 1 then r := !r lor (1 lsl w)) out;
+    !r
+
+let prop_stage_shuffle =
+  QCheck.Test.make
+    ~name:"Arena.stage_child (shuffle + ops) = State.map_masks (n=2,4,8)"
+    ~count:200
+    QCheck.(pair (int_range 0 1_000_000) (int_range 0 2))
+    (fun (seed, k) ->
+      let n = [| 2; 4; 8 |].(k) in
+      let rng = Xoshiro.of_seed seed in
+      let sys = Min_depth.system ~n in
+      let arena = Arena.create ~with_sigs:false ~n () in
+      List.for_all
+        (fun _ ->
+          let st = random_state rng n and ops = Register_model.random_ops rng ~n in
+          State.equal
+            (staged_image arena st (sys.Driver.stage ops))
+            (State.map_masks st (shuffle_reference ~n ops)))
+        (List.init 5 Fun.id))
+
+(* --- the search against the legacy engine's recorded results --- *)
+
 let test_arena_engine_equivalence () =
-  (* both engines must agree verbatim: outcome, depth, and every
-     decision counter, because their dedup and subsumption logic is
-     specified to be boolean-identical *)
+  (* outcome, depth, witness and every decision counter must equal the
+     legacy engine's, recorded in golden/ before it was deleted *)
   List.iter
-    (fun n ->
-      let sys = Driver.network_system ~n () in
-      match
-        ( Driver.run ~engine:`Legacy ~max_depth:n sys,
-          Driver.run ~engine:`Arena ~max_depth:n sys )
-      with
-      | ( Driver.Sorted { depth = da; stats = sa; _ },
-          Driver.Sorted { depth = db; stats = sb; moves } ) ->
-          check_int "depth" da db;
-          check_bool "arena witness verifies" true
-            (Driver.verify_witness ~n moves);
-          check_int "nodes" sa.Driver.nodes sb.Driver.nodes;
-          check_int "pruned" sa.Driver.pruned sb.Driver.pruned;
-          check_int "deduped" sa.Driver.deduped sb.Driver.deduped;
-          check_int "subsumed" sa.Driver.subsumed sb.Driver.subsumed;
-          check_int "redundant" sa.Driver.redundant sb.Driver.redundant;
-          check_int "peak frontier" sa.Driver.peak_frontier
-            sb.Driver.peak_frontier;
-          check_bool "frontier sizes" true
-            (sa.Driver.frontier_sizes = sb.Driver.frontier_sizes)
-      | _ -> Alcotest.fail "both engines must certify the optimum")
-    [ 4; 5; 6 ];
-  (* the equality-dedup (unrestricted) system runs the arena too *)
-  match
-    ( Driver.optimal_depth ~engine:`Legacy ~restrict:false ~n:4 (),
-      Driver.optimal_depth ~engine:`Auto ~restrict:false ~n:4 () )
-  with
-  | ( Driver.Sorted { depth = da; stats = sa; _ },
-      Driver.Sorted { depth = db; stats = sb; _ } ) ->
-      check_int "unrestricted depth" da db;
-      check_int "unrestricted nodes" sa.Driver.nodes sb.Driver.nodes;
-      check_int "unrestricted deduped" sa.Driver.deduped sb.Driver.deduped
-  | _ -> Alcotest.fail "n=4 unrestricted must certify the optimum"
+    (fun (n, max_depth, budget) ->
+      Golden.check "pruned.txt"
+        (Golden.key ~n ~max_depth budget)
+        (Golden.render_layers
+           (Driver.run ~budget:(Golden.budget_of budget) ~max_depth
+              (Driver.network_system ~n ()))))
+    Golden.pruned_runs;
+  List.iter
+    (fun (n, max_depth, budget) ->
+      Golden.check "reference.txt"
+        (Golden.key ~n ~max_depth budget)
+        (Golden.render_layers
+           (Driver.run ~budget:(Golden.budget_of budget) ~max_depth
+              (Driver.network_system ~restrict:false ~n ()))))
+    Golden.reference_runs
 
 let test_domains2_no_regression () =
-  (* The work-size threshold (Par.map_list ?min_per_domain, wired
-     through the driver's expansion / fingerprint / subsumption calls)
-     keeps small frontiers sequential: domains=2 at n=6 used to be
-     ~10x slower than domains=1 (BENCH_search.json, 11.5k vs 123k
-     nodes/s) because every tiny level paid domain spawns. Min-of-3
-     runs each to absorb scheduler noise; the bound is deliberately
-     loose (2x + 50ms) — the point is catching a return of the
-     order-of-magnitude cliff, not micro-benchmarking. *)
+  (* domains=2 at n=6 was once ~10x slower than domains=1
+     (BENCH_search.json, 11.5k vs 123k nodes/s) because every tiny
+     level paid domain spawns. The search is single-domain now and
+     ignores the argument; this guards against a fan-out returning
+     with that cliff. Min-of-3 runs each to absorb scheduler noise;
+     the bound is deliberately loose (2x + 50ms). *)
   let wall d =
     let best = ref infinity in
     for _ = 1 to 3 do
@@ -584,7 +624,9 @@ let () =
       ( "arena",
         [ QCheck_alcotest.to_alcotest prop_arena_dedup_agrees;
           QCheck_alcotest.to_alcotest prop_arena_subsumes_parity;
-          Alcotest.test_case "legacy/arena engines agree" `Quick
+          QCheck_alcotest.to_alcotest prop_stage_comparators;
+          QCheck_alcotest.to_alcotest prop_stage_shuffle;
+          Alcotest.test_case "search = legacy golden files" `Quick
             test_arena_engine_equivalence ] );
       ( "driver",
         [ Alcotest.test_case "known optima n<=6" `Quick test_known_optimal_depths;

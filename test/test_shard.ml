@@ -115,50 +115,34 @@ let test_supervisor_cancel () =
 
 (* --- sharded search: decision identity --- *)
 
-let stats_agree what (a : Driver.stats) (b : Driver.stats) =
-  check_int (what ^ ": nodes") a.Driver.nodes b.Driver.nodes;
-  check_int (what ^ ": pruned") a.Driver.pruned b.Driver.pruned;
-  check_int (what ^ ": deduped") a.Driver.deduped b.Driver.deduped;
-  check_int (what ^ ": subsumed") a.Driver.subsumed b.Driver.subsumed;
-  check_int (what ^ ": redundant") a.Driver.redundant b.Driver.redundant;
-  check_bool (what ^ ": frontier sizes") true
-    (a.Driver.frontier_sizes = b.Driver.frontier_sizes);
-  check_int (what ^ ": peak frontier") a.Driver.peak_frontier
-    b.Driver.peak_frontier;
-  check_int (what ^ ": completed levels") a.Driver.completed_levels
-    b.Driver.completed_levels
+(* Both sides of every identity check are held to the legacy engine's
+   results recorded in golden/pruned.txt: the single-process search
+   (the arena) and the sharded one. *)
+let golden ?budget ~n ~max_depth outcome =
+  Golden.check "pruned.txt"
+    (Golden.key ~n ~max_depth budget)
+    (Golden.render_layers outcome)
 
-let outcomes_agree what single sharded =
-  match (single, sharded) with
-  | ( Driver.Sorted { depth = d1; moves = m1; stats = s1 },
-      Driver.Sorted { depth = d2; moves = m2; stats = s2 } ) ->
-      check_int (what ^ ": depth") d1 d2;
-      check_bool (what ^ ": witness") true (m1 = m2);
-      stats_agree what s1 s2
-  | Driver.Unsorted a, Driver.Unsorted b
-  | Driver.Inconclusive a, Driver.Inconclusive b
-  | Driver.Interrupted a, Driver.Interrupted b ->
-      stats_agree what a b
-  | _ -> Alcotest.failf "%s: outcome constructors differ" what
+let single ?budget ~n () =
+  let outcome =
+    Driver.optimal_depth ~budget:(Golden.budget_of budget) ~max_depth:6 ~n ()
+  in
+  golden ?budget ~n ~max_depth:6 outcome
 
 let sharded_outcome ?budget ~shards ~dir ?(max_depth = 6) ~n () =
   match
-    Shard_search.run ?budget ~config:(quick_config ~dir) ~shards ~dir
-      ~max_depth
+    Shard_search.run
+      ~budget:(Golden.budget_of budget)
+      ~config:(quick_config ~dir) ~shards ~dir ~max_depth
       (Driver.network_system ~n ())
   with
-  | Ok outcome -> outcome
+  | Ok outcome -> golden ?budget ~n ~max_depth outcome
   | Error e -> Alcotest.failf "sharded search failed: %s" e
 
 let test_search_identity () =
-  let single = Driver.optimal_depth ~engine:`Legacy ~max_depth:6 ~n:6 () in
+  single ~n:6 ();
   List.iter
-    (fun shards ->
-      with_dir @@ fun dir ->
-      outcomes_agree
-        (Printf.sprintf "n=6 shards=%d" shards)
-        single
-        (sharded_outcome ~shards ~dir ~n:6 ()))
+    (fun shards -> with_dir @@ fun dir -> sharded_outcome ~shards ~dir ~n:6 ())
     [ 1; 2; 3; 5 ]
 
 let test_search_identity_wider () =
@@ -166,48 +150,32 @@ let test_search_identity_wider () =
      too (n=8 is the registry-optimal 6-level case, ~6k nodes) *)
   List.iter
     (fun n ->
-      let single = Driver.optimal_depth ~engine:`Legacy ~max_depth:6 ~n () in
-      with_dir @@ fun dir ->
-      outcomes_agree
-        (Printf.sprintf "n=%d shards=4" n)
-        single
-        (sharded_outcome ~shards:4 ~dir ~n ()))
+      single ~n ();
+      with_dir @@ fun dir -> sharded_outcome ~shards:4 ~dir ~n ())
     [ 7; 8 ]
 
 let test_search_identity_budget () =
-  (* a node budget that trips mid-search must trip identically *)
-  let budget = { Driver.max_nodes = 120; max_seconds = None } in
-  let single =
-    Driver.optimal_depth ~engine:`Legacy ~budget ~max_depth:6 ~n:6 ()
-  in
-  (match single with
-  | Driver.Inconclusive _ -> ()
-  | _ -> Alcotest.fail "expected the reference run to trip its budget");
-  with_dir @@ fun dir ->
-  outcomes_agree "n=6 budget trip" single
-    (sharded_outcome ~budget ~shards:3 ~dir ~n:6 ())
+  (* a node budget that trips mid-search must trip identically (the
+     golden run is Inconclusive) *)
+  let budget = 120 in
+  single ~budget ~n:6 ();
+  with_dir @@ fun dir -> sharded_outcome ~budget ~shards:3 ~dir ~n:6 ()
 
 let test_search_identity_under_faults () =
   (* kill-worker at every shard: prob 1.0 sabotages each unit's first
      attempt, so every worker index is killed in turn; ditto the stall
      and corruption points. The merged outcome must not move. *)
-  let single = Driver.optimal_depth ~engine:`Legacy ~max_depth:6 ~n:6 () in
   List.iter
     (fun spec ->
       with_dir @@ fun dir ->
-      with_fault spec @@ fun () ->
-      outcomes_agree ("n=6 under " ^ spec) single
-        (sharded_outcome ~shards:3 ~dir ~n:6 ()))
+      with_fault spec @@ fun () -> sharded_outcome ~shards:3 ~dir ~n:6 ())
     [ "kill-worker"; "stall-worker"; "corrupt-result" ];
   (* randomized seeded kill schedules: only some attempts die *)
   List.iter
     (fun seed ->
       with_dir @@ fun dir ->
       with_fault (Printf.sprintf "kill-worker:0.5:%d" seed) @@ fun () ->
-      outcomes_agree
-        (Printf.sprintf "n=6 under seeded kills (seed %d)" seed)
-        single
-        (sharded_outcome ~shards:3 ~dir ~n:6 ()))
+      sharded_outcome ~shards:3 ~dir ~n:6 ())
     [ 1; 7; 2026 ]
 
 (* --- island evolve: determinism and fault identity --- *)
