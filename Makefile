@@ -22,7 +22,8 @@ bench:
 # so successive PRs have a perf trajectory to compare against (plus the
 # wide-vs-chunked eval-many rows, asserted >= 3x). The same
 # run times the exact-bounds search (pruned vs reference, the n=8
-# pruned run, and sharded vs single-process) into BENCH_search.json,
+# pruned run, system set-up at n=8..10 with a 1 s ceiling at n=10, and
+# sharded vs single-process) into BENCH_search.json,
 # the static analyzer's throughput (networks/sec, comparators/sec)
 # into BENCH_analysis.json, and the
 # serve scheduler's 32-client batched-vs-sequential throughput and
@@ -46,6 +47,10 @@ bench-json:
 	grep -q '"obs/checkpoint.bytes"' BENCH_search.json
 	grep -q '"obs/checkpoint.write_ms.mean"' BENCH_search.json
 	grep -q '"search/n=8/engine=arena/wall_ms"' BENCH_search.json
+	grep -q '"search/n=8/setup_ms"' BENCH_search.json
+	grep -q '"search/n=9/setup_ms"' BENCH_search.json
+	grep -q '"search/n=10/setup_ms"' BENCH_search.json
+	awk -F': ' '/"search\/n=10\/setup_ms"/ { exit !($$2 + 0 <= 1000.0) }' BENCH_search.json || { echo "n=10 search set-up above 1000 ms" >&2; exit 1; }
 	grep -q '"obs/arena.states"' BENCH_search.json
 	grep -q '"obs/arena.probes"' BENCH_search.json
 	grep -q '"obs/arena.bytes"' BENCH_search.json

@@ -398,9 +398,10 @@ let search_json_rows () =
       (fun () ->
         time_run ~checkpoint:(path, interval) ~tag ~restrict:true 7)
   in
-  (* the n=8 pruned search on one prebuilt system — the run only, so
-     system construction (layer tables, symmetry reduction) is
-     excluded. Best of 3 to shave timing noise. *)
+  (* the n=8 pruned search on one prebuilt system — the run only.
+     Building the system (layer tables, symmetry-reduced second layer)
+     is timed on its own by [setup_rows]. Best of 3 to shave timing
+     noise. *)
   let n8_rows =
     let n = 8 in
     let sys = Driver.network_system ~n () in
@@ -414,6 +415,22 @@ let search_json_rows () =
     done;
     [ ("search/n=8/engine=arena/wall_ms", !best *. 1e3) ]
   in
+  (* what every free search pays before level 1: building the pruned
+     system, dominated by the orbit enumeration of the second layer.
+     Best of 3; nothing is cached across calls, so each call measures
+     the full construction. *)
+  let setup_rows =
+    List.map
+      (fun n ->
+        let best = ref infinity in
+        for _ = 1 to 3 do
+          let t0 = Clock.wall () in
+          ignore (Driver.network_system ~n ());
+          best := min !best (Clock.wall () -. t0)
+        done;
+        (Printf.sprintf "search/n=%d/setup_ms" n, !best *. 1e3))
+      [ 8; 9; 10 ]
+  in
   List.concat
     [ time_run ~tag:"pruned" ~restrict:true 6;
       time_run ~tag:"reference" ~restrict:false 6;
@@ -421,6 +438,7 @@ let search_json_rows () =
       checkpointed ~tag:"pruned-ckpt" ~interval:60.;
       checkpointed ~tag:"pruned-ckpt0" ~interval:0.;
       n8_rows;
+      setup_rows;
       shard_rows ]
 
 (* Analyzer throughput: repeated full analyses (structural lints, both

@@ -212,33 +212,38 @@ let verify_cmd =
     Arg.(value & opt int 0 & info [ "domains" ] ~docv:"D" ~doc)
   in
   let run algo n domains trace metrics =
-    match build_sorter algo n with
-    | Error e -> usage_error e
-    | Ok nw ->
-        let domains =
-          if domains <= 0 then Par.recommended_domains () else domains
-        in
-        record_domains domains;
-        with_obs ~trace ~metrics @@ fun sink ->
-        Printf.printf "verifying %s on n=%d over all %d zero-one inputs...\n%!"
-          algo n (1 lsl n);
-        let answer =
-          Span.run ~sink ~name:"verify" @@ fun sp ->
-          Span.add sp "algo" (Sink.Str algo);
-          Span.add sp "n" (Sink.Int n);
-          Span.add sp "domains" (Sink.Int domains);
-          Zero_one.verify ~domains nw
-        in
-        (match answer with
-        | Ok () ->
-            Printf.printf "sorting network: true\n";
-            0
-        | Error witness ->
-            Printf.printf "sorting network: false\n";
-            Printf.printf "failing input: %s\n" (pp_array witness);
-            Printf.printf "network output: %s\n"
-              (pp_array (Network.eval nw witness));
-            1)
+    if n > Zero_one.default_max_wires then
+      usage_error
+        (Printf.sprintf "verify: n must be <= %d (the sweep covers all 2^n inputs)"
+           Zero_one.default_max_wires)
+    else
+      match build_sorter algo n with
+      | Error e -> usage_error e
+      | Ok nw ->
+          let domains =
+            if domains <= 0 then Par.recommended_domains () else domains
+          in
+          record_domains domains;
+          with_obs ~trace ~metrics @@ fun sink ->
+          Printf.printf "verifying %s on n=%d over all %d zero-one inputs...\n%!"
+            algo n (1 lsl n);
+          let answer =
+            Span.run ~sink ~name:"verify" @@ fun sp ->
+            Span.add sp "algo" (Sink.Str algo);
+            Span.add sp "n" (Sink.Int n);
+            Span.add sp "domains" (Sink.Int domains);
+            Zero_one.verify ~domains nw
+          in
+          (match answer with
+          | Ok () ->
+              Printf.printf "sorting network: true\n";
+              0
+          | Error witness ->
+              Printf.printf "sorting network: false\n";
+              Printf.printf "failing input: %s\n" (pp_array witness);
+              Printf.printf "network output: %s\n"
+                (pp_array (Network.eval nw witness));
+              1)
   in
   let doc =
     "Exactly verify a network via the 0-1 principle (n <= 26), \

@@ -46,23 +46,46 @@ let stabilizer ~n =
                 (2 * sigma.(p)) + (b lxor ((flips lsr p) land 1)))))
     pair_perms
 
-let apply_group_elt g layer =
-  List.sort compare
-    (List.map
-       (fun (i, j) ->
-         let i' = g.(i) and j' = g.(j) in
-         (min i' j', max i' j'))
-       layer)
-
 let second ~n =
-  let group = stabilizer ~n in
-  let canonical layer =
-    List.fold_left
-      (fun best g ->
-        let img = apply_group_elt g layer in
-        if compare img best < 0 then img else best)
-      layer group
+  if n < 2 || n > 11 then invalid_arg "Layers.second: n must be in [2, 11]";
+  (* A matching is coded as an int with pair (i, j), i < j, of
+     lexicographic index p at bit [npairs - 1 - p]. Every image of a
+     layer has its size, and among same-size sorted pair lists the
+     lexicographically least has the largest code. *)
+  let npairs = n * (n - 1) / 2 in
+  let bit = Array.make_matrix n n 0 in
+  let p = ref 0 in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      let b = 1 lsl (npairs - 1 - !p) in
+      bit.(i).(j) <- b;
+      bit.(j).(i) <- b;
+      incr p
+    done
+  done;
+  let code_under g layer =
+    List.fold_left (fun acc (i, j) -> acc lor bit.(g.(i)).(g.(j))) 0 layer
   in
-  List.filter (fun l -> canonical l = l) (all ~n)
+  let code = code_under (Array.init n Fun.id) in
+  let group = stabilizer ~n in
+  let all = all ~n in
+  (* One pass over [all]: the first unvisited layer of an orbit pays
+     for the whole orbit, marking every image visited and keeping the
+     largest code as the representative. *)
+  let seen = Hashtbl.create 1024 and reps = Hashtbl.create 64 in
+  List.iter
+    (fun layer ->
+      if not (Hashtbl.mem seen (code layer)) then begin
+        let best = ref 0 in
+        List.iter
+          (fun g ->
+            let c = code_under g layer in
+            Hashtbl.replace seen c ();
+            if c > !best then best := c)
+          group;
+        Hashtbl.replace reps !best ()
+      end)
+    all;
+  List.filter (fun l -> Hashtbl.mem reps (code l)) all
 
 let gates layer = List.map (fun (i, j) -> Gate.compare_up i j) layer

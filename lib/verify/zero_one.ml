@@ -4,7 +4,9 @@
    stream.  This module owns the exponential-blowup guard and the
    witness cross-check against the interpretive Network.eval. *)
 
-let check_guard ?(max_wires = 26) nw =
+let default_max_wires = 26
+
+let check_guard ?(max_wires = default_max_wires) nw =
   let n = Network.wires nw in
   if n > max_wires then
     invalid_arg

@@ -16,6 +16,10 @@
     parallel chunk (a shared atomic flag), and the witness is returned,
     re-checked against {!Network.eval} before being surfaced. *)
 
+val default_max_wires : int
+(** The widest network {!verify} accepts unless [?max_wires] says
+    otherwise: 26, i.e. [2^26] zero-one inputs. *)
+
 val verify :
   ?max_wires:int -> ?domains:int -> Network.t -> (unit, int array) result
 (** [verify nw] is [Ok ()] iff [nw] sorts ascending by wire index, and

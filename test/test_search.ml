@@ -133,17 +133,100 @@ let test_subsume_permutation_property =
 (* --- Layers --- *)
 
 let test_layer_counts () =
-  check_int "n=4 all" 9 (List.length (Layers.all ~n:4));
-  check_int "n=5 all" 25 (List.length (Layers.all ~n:5));
-  check_int "n=6 all" 75 (List.length (Layers.all ~n:6));
+  List.iter
+    (fun (n, all, second) ->
+      check_int (Printf.sprintf "n=%d all" n) all (List.length (Layers.all ~n));
+      check_int (Printf.sprintf "n=%d second" n) second
+        (List.length (Layers.second ~n)))
+    [ (4, 9, 4); (5, 25, 7); (6, 75, 9); (7, 231, 17); (8, 763, 19);
+      (9, 2619, 37); (10, 9495, 35) ];
   check_bool "first n=5" true (Layers.first ~n:5 = [ (0, 1); (2, 3) ]);
-  check_int "n=4 second" 4 (List.length (Layers.second ~n:4));
-  check_int "n=6 second" 9 (List.length (Layers.second ~n:6));
   List.iter
     (fun layer ->
       check_bool "second is a matching from all" true
         (List.mem layer (Layers.all ~n:6)))
     (Layers.second ~n:6)
+
+(* The brute-force second layer [Layers.second] replaced: every element
+   of the first layer's stabiliser (pair permutations times in-pair
+   flips, as channel maps) applied to every layer, keeping the layers
+   that are their own lexicographically least image. Quadratic in
+   practice: ~9 s at n=10, so only run up to n=9. *)
+let stabiliser_oracle ~n =
+  let k = n / 2 in
+  let rec perms = function
+    | [] -> [ [] ]
+    | xs ->
+        List.concat_map
+          (fun x -> List.map (fun p -> x :: p) (perms (List.filter (( <> ) x) xs)))
+          xs
+  in
+  List.concat_map
+    (fun sigma ->
+      let sigma = Array.of_list sigma in
+      List.init (1 lsl k) (fun flips ->
+          Array.init n (fun c ->
+              if c >= 2 * k then c
+              else
+                let p = c / 2 and b = c land 1 in
+                (2 * sigma.(p)) + (b lxor ((flips lsr p) land 1)))))
+    (perms (List.init k Fun.id))
+
+let image g layer =
+  List.sort compare
+    (List.map
+       (fun (i, j) ->
+         let i' = g.(i) and j' = g.(j) in
+         (min i' j', max i' j'))
+       layer)
+
+let second_oracle ~n =
+  let group = stabiliser_oracle ~n in
+  let canonical layer =
+    List.fold_left
+      (fun best g ->
+        let img = image g layer in
+        if compare img best < 0 then img else best)
+      layer group
+  in
+  List.filter (fun l -> canonical l = l) (Layers.all ~n)
+
+let test_second_oracle () =
+  for n = 2 to 9 do
+    check_bool
+      (Printf.sprintf "n=%d: same layers, same order as the oracle" n)
+      true
+      (Layers.second ~n = second_oracle ~n)
+  done
+
+let test_second_golden_n10 () =
+  Golden.check "second-n10.txt" "n=10"
+    (String.concat "\n" (List.map Golden.pp_layer (Layers.second ~n:10)))
+
+let test_second_partition () =
+  (* every layer is a stabiliser image of exactly one representative:
+     the orbits of [second] partition [all] *)
+  for n = 2 to 8 do
+    let all = Layers.all ~n and group = stabiliser_oracle ~n in
+    let orbits =
+      List.map
+        (fun rep ->
+          let orbit = Hashtbl.create 64 in
+          List.iter (fun g -> Hashtbl.replace orbit (image g rep) ()) group;
+          orbit)
+        (Layers.second ~n)
+    in
+    let size = List.fold_left (fun acc o -> acc + Hashtbl.length o) 0 orbits in
+    check_int (Printf.sprintf "n=%d: orbit sizes sum to |all|" n)
+      (List.length all) size;
+    List.iter
+      (fun layer ->
+        check_int
+          (Printf.sprintf "n=%d: %s in exactly one orbit" n (Golden.pp_layer layer))
+          1
+          (List.length (List.filter (fun o -> Hashtbl.mem o layer) orbits)))
+      all
+  done
 
 (* --- Driver --- *)
 
@@ -620,7 +703,13 @@ let () =
             test_canonical_hash_isomorphic;
           Alcotest.test_case "n=4 exhaustive: collide iff isomorphic" `Quick
             test_canonical_hash_exhaustive_n4 ] );
-      ("layers", [ Alcotest.test_case "counts" `Quick test_layer_counts ]);
+      ( "layers",
+        [ Alcotest.test_case "counts" `Quick test_layer_counts;
+          Alcotest.test_case "second = brute-force oracle, n<=9" `Quick
+            test_second_oracle;
+          Alcotest.test_case "second n=10 = golden" `Quick test_second_golden_n10;
+          Alcotest.test_case "second orbits partition all, n<=8" `Quick
+            test_second_partition ] );
       ( "arena",
         [ QCheck_alcotest.to_alcotest prop_arena_dedup_agrees;
           QCheck_alcotest.to_alcotest prop_arena_subsumes_parity;
