@@ -243,7 +243,9 @@ let write_json path results =
   output_string oc "{\n";
   List.iteri
     (fun i (name, ns) ->
-      Printf.fprintf oc "  %S: %.2f%s\n" name ns
+      Printf.fprintf oc "  %s: %s%s\n"
+        (Json.to_string (Json.Str name))
+        (Json.to_string (Json.Float ns))
         (if i = List.length results - 1 then "" else ","))
     results;
   output_string oc "}\n";

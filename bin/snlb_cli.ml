@@ -597,7 +597,9 @@ let lint_cmd =
         in
         (match fmt with
         | `Json ->
-            List.iter (fun d -> print_endline (Diag.to_json d)) r.diags
+            List.iter
+              (fun d -> print_endline (Json.to_string (Diag.to_json d)))
+              r.diags
         | `Text ->
             List.iter (fun d -> print_endline (Diag.to_text d)) r.diags;
             let f = r.facts in

@@ -25,40 +25,19 @@ let to_text d =
   Printf.sprintf "%s[%s] %s%s" (severity_name d.severity) d.code
     (span_text d.span) d.message
 
-(* Minimal JSON string escaping: codes and messages are ASCII, but a
-   file path can reach a message, so escape everything the grammar
-   requires. *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json d =
-  let b = Buffer.create 96 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"code\":\"%s\",\"severity\":\"%s\"" (json_escape d.code)
-       (severity_name d.severity));
-  (match d.span with
-  | None -> ()
-  | Some { level; gate } -> (
-      Buffer.add_string b (Printf.sprintf ",\"level\":%d" level);
-      match gate with
-      | None -> ()
-      | Some g -> Buffer.add_string b (Printf.sprintf ",\"gate\":%d" g)));
-  Buffer.add_string b
-    (Printf.sprintf ",\"message\":\"%s\"}" (json_escape d.message));
-  Buffer.contents b
+  let span_fields =
+    match d.span with
+    | None -> []
+    | Some { level; gate = None } -> [ ("level", Json.Int level) ]
+    | Some { level; gate = Some g } ->
+        [ ("level", Json.Int level); ("gate", Json.Int g) ]
+  in
+  Json.Obj
+    ([ ("code", Json.Str d.code);
+       ("severity", Json.Str (severity_name d.severity)) ]
+    @ span_fields
+    @ [ ("message", Json.Str d.message) ])
 
 let count ds sev = List.length (List.filter (fun d -> d.severity = sev) ds)
 

@@ -40,10 +40,12 @@ val to_text : t -> string
 (** One human line, e.g.
     ["warning[SNL201] level 3 gate 0: dead comparator (4,5): ..."]. *)
 
-val to_json : t -> string
-(** One NDJSON object:
+val to_json : t -> Json.t
+(** One JSON object, keys in this order:
     [{"code":...,"severity":...,"level":N,"gate":N,"message":...}]
-    ([level]/[gate] omitted when absent). Strings are JSON-escaped. *)
+    ([level]/[gate] omitted when absent). [snlb lint --format json]
+    prints it with {!Json.to_string}, one object per line; the serve
+    [lint] verb embeds it in its response. *)
 
 val count : t list -> severity -> int
 

@@ -1,4 +1,11 @@
-type value = Int of int | Float of float | Str of string
+type value = Json.t =
+  | Null
+  | Bool of bool
+  | Int of int
+  | Float of float
+  | Str of string
+  | List of value list
+  | Obj of (string * value) list
 
 type event = {
   ts : float;
@@ -31,46 +38,11 @@ let tee a b =
 
 let enabled = function Null -> false | Ndjson _ | Memory _ | Tee _ -> true
 
-let add_escaped buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
-let add_value buf = function
-  | Int i -> Buffer.add_string buf (string_of_int i)
-  | Float f ->
-      Buffer.add_string buf
-        (if Float.is_finite f then Printf.sprintf "%.9g" f else "0")
-  | Str s ->
-      Buffer.add_char buf '"';
-      add_escaped buf s;
-      Buffer.add_char buf '"'
-
 let to_json e =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf (Printf.sprintf "{\"ts\":%.6f,\"ev\":\"" e.ts);
-  add_escaped buf e.ev;
-  Buffer.add_string buf "\",\"name\":\"";
-  add_escaped buf e.name;
-  Buffer.add_char buf '"';
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_string buf ",\"";
-      add_escaped buf k;
-      Buffer.add_string buf "\":";
-      add_value buf v)
-    e.fields;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  Json.to_string
+    (Obj
+       (("ts", Float e.ts) :: ("ev", Str e.ev) :: ("name", Str e.name)
+       :: e.fields))
 
 let rec deliver t e =
   match t with

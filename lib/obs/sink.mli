@@ -8,7 +8,16 @@
     accumulates events for tests and in-process consumers. All sinks
     are domain-safe. *)
 
-type value = Int of int | Float of float | Str of string
+type value = Json.t =
+  | Null
+  | Bool of bool
+  | Int of int
+  | Float of float
+  | Str of string
+  | List of value list
+  | Obj of (string * value) list
+(** Field values are JSON values; producers use [Int], [Float] and
+    [Str]. *)
 
 type event = {
   ts : float;  (** wall-clock stamp ({!Clock.wall}) *)
@@ -40,5 +49,6 @@ val emit : t -> ev:string -> name:string -> (string * value) list -> unit
 (** Stamp with {!Clock.wall} and deliver. No-op on {!null}. *)
 
 val to_json : event -> string
-(** One-line JSON object: keys [ts], [ev], [name], then the fields
-    (strings escaped per RFC 8259; non-finite floats serialise as 0). *)
+(** One-line JSON object printed by {!Json.to_string}: keys [ts],
+    [ev], [name], then the fields (strings escaped per RFC 8259,
+    floats by the {!Json} float rule, non-finite floats as 0). *)

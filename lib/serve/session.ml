@@ -32,21 +32,6 @@ let c_errors = Metrics.counter "serve.errors"
 let c_idle_closed = Metrics.counter "serve.idle_closed"
 let c_deadline_expired = Metrics.counter "serve.deadline_expired"
 
-let severity_json d = Json.Str (Diag.severity_name d.Diag.severity)
-
-let diag_json d =
-  let span_fields =
-    match d.Diag.span with
-    | None -> []
-    | Some { Diag.level; gate } -> (
-        [ ("level", Json.Int level) ]
-        @ match gate with None -> [] | Some g -> [ ("gate", Json.Int g) ])
-  in
-  Json.Obj
-    (("code", Json.Str d.Diag.code)
-    :: ("severity", severity_json d)
-    :: (span_fields @ [ ("message", Json.Str d.Diag.message) ]))
-
 let sortedness_json = function
   | Analysis.Sorting_proved -> Json.Str "sorting-proved"
   | Analysis.Sorting_refuted _ -> Json.Str "sorting-refuted"
@@ -155,7 +140,7 @@ let dispatch config req nw =
            ("sortedness", sortedness_json f.Analysis.sortedness);
            ("dead", Json.Int (List.length f.Analysis.dead));
            ("redundant", Json.Int (List.length f.Analysis.redundant));
-           ("diags", Json.List (List.map diag_json r.Analysis.diags));
+           ("diags", Json.List (List.map Diag.to_json r.Analysis.diags));
          ]
         @ cert_fields ~exact_max_wires:config.exact_max_wires ~dead:true
             req.Wire.want_cert nw)

@@ -414,7 +414,7 @@ let test_diag_json () =
       ~code:"SNL201" ~severity:Diag.Warning "dead \"comparator\""
   in
   check_bool "json shape" true
-    (Diag.to_json d
+    (Json.to_string (Diag.to_json d)
     = "{\"code\":\"SNL201\",\"severity\":\"warning\",\"level\":3,\"gate\":1,\"message\":\"dead \\\"comparator\\\"\"}");
   check_bool "text shape" true
     (Diag.to_text d = "warning[SNL201] level 3 gate 1: dead \"comparator\"");

@@ -92,6 +92,44 @@ let test_json_escaping () =
   check_bool "non-finite float serialises as 0" true (contains "\"f\":0");
   check_bool "negative int" true (contains "\"i\":-3")
 
+(* Every trace line is JSON that reads back to what was emitted: the
+   stamp, kind and name first, then each field in order. Floats keep
+   their value (integral ones stay floats); non-finite ones read back
+   as the integer 0. *)
+let test_trace_lines_parse () =
+  let sink, events = Sink.memory () in
+  Sink.emit sink ~ev:"span" ~name:"a\"b\\c/\n\x01"
+    [ ("s", Sink.Str "tab\there \"quoted\"");
+      ("i", Sink.Int (-42));
+      ("frac", Sink.Float 1.4e-05);
+      ("whole", Sink.Float 3.);
+      ("neg", Sink.Float (-0.1)) ];
+  Sink.emit sink ~ev:"counter" ~name:"x"
+    [ ("inf", Sink.Float infinity);
+      ("ninf", Sink.Float neg_infinity);
+      ("nan", Sink.Float nan);
+      ("min", Sink.Int min_int) ];
+  let expected_field = function
+    | Sink.Float f when not (Float.is_finite f) -> Json.Int 0
+    | v -> v
+  in
+  let es = events () in
+  check_int "two events" 2 (List.length es);
+  List.iter
+    (fun e ->
+      let line = Sink.to_json e in
+      match Json.of_string line with
+      | Error msg -> Alcotest.failf "trace line %S does not parse: %s" line msg
+      | Ok j ->
+          check_bool ("fields round-trip: " ^ line) true
+            (j
+            = Json.Obj
+                (("ts", Json.Float e.Sink.ts)
+                :: ("ev", Json.Str e.Sink.ev)
+                :: ("name", Json.Str e.Sink.name)
+                :: List.map (fun (k, v) -> (k, expected_field v)) e.Sink.fields)))
+    es
+
 let test_ndjson_sink () =
   let path = Filename.temp_file "snlb_obs" ".ndjson" in
   Fun.protect
@@ -264,6 +302,8 @@ let () =
       ( "sink",
         [ Alcotest.test_case "memory" `Quick test_memory_sink;
           Alcotest.test_case "json escaping" `Quick test_json_escaping;
+          Alcotest.test_case "trace lines parse back" `Quick
+            test_trace_lines_parse;
           Alcotest.test_case "ndjson file" `Quick test_ndjson_sink ] );
       ( "span",
         [ Alcotest.test_case "nesting" `Quick test_span_nesting;

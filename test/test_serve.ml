@@ -36,7 +36,60 @@ let test_json_rejects () =
   List.iter
     (fun s -> check_bool ("rejects " ^ s) true (bad s))
     [ ""; "{"; "[1,]"; "{\"a\":}"; "tru"; "1 2"; "\"unterminated";
-      "\"\\u12\""; "\"\\ud800\""; "{'a':1}"; "nan" ]
+      "\"\\u12\""; "\"\\ud800\""; "{'a':1}"; "nan"; "01"; "-01"; "00";
+      "[1,02]" ];
+  check_bool "leading zero: byte offset" true
+    (Json.of_string "-01" = Error "at byte 1: leading zero in number");
+  check_bool "zero itself still parses" true
+    (Json.of_string "[0,-0,0.5,-0.25,0e1]"
+    = Ok
+        (Json.List
+           [ Json.Int 0; Json.Int 0; Json.Float 0.5; Json.Float (-0.25);
+             Json.Float 0. ]))
+
+(* Random values: nested lists and objects, strings full of escapes,
+   control and high bytes, full-range ints, and finite floats. Integral
+   floats are drawn on purpose: they must read back as Float, not Int. *)
+let json_gen =
+  let open QCheck.Gen in
+  let str =
+    string_size
+      ~gen:
+        (frequency
+           [ (3, char);
+             (1, oneofl [ '"'; '\\'; '/'; '\n'; '\r'; '\t'; '\000'; '\x1f' ]) ])
+      (int_bound 8)
+  in
+  let finite_float =
+    oneof
+      [ map float_of_int small_signed_int;
+        float_range (-1e3) 1e3;
+        map (fun f -> if Float.is_finite f then f else 0.) float ]
+  in
+  let scalar =
+    oneof
+      [ return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun i -> Json.Int i) int;
+        map (fun f -> Json.Float f) finite_float;
+        map (fun s -> Json.Str s) str ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n = 0 then scalar
+         else
+           frequency
+             [ (2, scalar);
+               (1, map (fun xs -> Json.List xs) (list_size (int_bound 4) (self (n / 4))));
+               ( 1,
+                 map
+                   (fun kvs -> Json.Obj kvs)
+                   (list_size (int_bound 4) (pair str (self (n / 4))))) ])
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~name:"of_string (to_string j) = Ok j" ~count:1000
+    (QCheck.make ~print:Json.to_string json_gen)
+    (fun j -> Json.of_string (Json.to_string j) = Ok j)
 
 (* --- Frame --- *)
 
@@ -494,7 +547,8 @@ let () =
   Alcotest.run "serve"
     [ ( "json",
         [ Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
-          Alcotest.test_case "rejects" `Quick test_json_rejects ] );
+          Alcotest.test_case "rejects" `Quick test_json_rejects;
+          QCheck_alcotest.to_alcotest prop_json_roundtrip ] );
       ( "frame",
         [ Alcotest.test_case "roundtrip" `Quick test_frame_roundtrip;
           Alcotest.test_case "malformed/oversized" `Quick test_frame_malformed ] );
