@@ -22,7 +22,8 @@ bench:
 # so successive PRs have a perf trajectory to compare against (plus the
 # wide-vs-chunked eval-many rows, asserted >= 3x). The same
 # run times the exact-bounds search (pruned vs reference, the n=8
-# pruned run, system set-up at n=8..10 with a 1 s ceiling at n=10, and
+# pruned run, the end-to-end n=9 optimal search with no ceiling,
+# system set-up at n=8..10 with a 1 s ceiling at n=10, and
 # sharded vs single-process) into BENCH_search.json,
 # the static analyzer's throughput (networks/sec, comparators/sec)
 # into BENCH_analysis.json, and the
@@ -43,6 +44,8 @@ bench-json:
 	grep -q '"obs/search.nodes"' BENCH_search.json
 	grep -q '"obs/analysis.redundant_moves"' BENCH_search.json
 	grep -q '"search/n=7/pruned-ckpt/domains=1/wall_ms"' BENCH_search.json
+	grep -q '"search/n=9/pruned/domains=1/wall_ms"' BENCH_search.json
+	grep -q '"search/n=9/pruned/domains=1/subsumed"' BENCH_search.json
 	grep -q '"obs/checkpoint.writes"' BENCH_search.json
 	grep -q '"obs/checkpoint.bytes"' BENCH_search.json
 	grep -q '"obs/checkpoint.write_ms.mean"' BENCH_search.json

@@ -437,6 +437,8 @@ let search_json_rows () =
     [ time_run ~tag:"pruned" ~restrict:true 6;
       time_run ~tag:"reference" ~restrict:false 6;
       time_run ~tag:"pruned" ~restrict:true 7;
+      (* the real frontier of [snlb search -n 9 --optimal], end to end *)
+      time_run ~tag:"pruned" ~restrict:true 9;
       checkpointed ~tag:"pruned-ckpt" ~interval:60.;
       checkpointed ~tag:"pruned-ckpt0" ~interval:0.;
       n8_rows;

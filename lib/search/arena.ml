@@ -23,7 +23,11 @@
    sized by [C(n, k)] with one guard bit per field, so "every count of
    A <= the matching count of B" is one subtract-and-mask per signature
    word (the carry trick: [((b | guards) - a) & guards = guards] iff no
-   field borrows). *)
+   field borrows). The counts are accumulated directly in that packed
+   form, one table add per nonzero row byte, in the same pass that
+   builds each channel's implication mask (the AND of the row's masks
+   with that bit set); the permutation match uses those masks to cut
+   an assignment before any full image test. *)
 
 type row = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -46,6 +50,7 @@ type t = {
   mutable level : int array;
   mutable hash : int array; (* 62-bit nonnegative row hash *)
   mutable sigs : int array; (* cap * sig_stride when with_sigs *)
+  mutable imps : int array; (* cap * 2 packed implication masks *)
   with_sigs : bool;
   sig_stride : int;
   lay : layout;
@@ -53,25 +58,19 @@ type t = {
   mutable mask : int; (* Array.length table - 1 *)
   (* precomputed per n *)
   sorted_row : int64 array;
-  (* signature tables, built only when [with_sigs] (empty otherwise).
-     Row patterns for the signature counts: level k's masks at
-     [k * wpr], channel (c, k)'s at [(n + 1 + c * (n + 1) + k) * wpr] —
-     a count is one AND+popcount per row word instead of a loop over
-     the masks *)
-  count_pat : row;
+  (* signature tables, built only when [with_sigs] (empty otherwise) *)
   byte_pc : int array; (* popcount of each global byte index *)
-  byte_hc : int array array; (* per byte position: its high channels 3+d *)
-  (* packed-count scratch (n <= 10 fast path): index = popcount of the
-     byte position, 4 x 8-bit fields = counts by low-3-bit popcount *)
-  sc_accl : int array;
-  sc_accc : int array array;
+  inc_lvl : int array; (* packed level increment per (position popcount, byte) *)
+  byte_hc : int array array; (* in-byte offset b -> its channels 3 + d *)
+  word_hc : int array array; (* row word w -> its channels 6 + d *)
+  imp_per : int; (* implication masks per packed int: 62 / n *)
   (* reusable subsumption scratch (single-domain use) *)
-  sc_lvl : int array;
-  sc_chan : int array array;
-  sc_zeros : int array;
+  sc_imp : int array;
+  sc_ia : int array;
+  sc_ib : int array;
+  sc_tb : int array;
   sc_cand : int array;
   sc_order : int array;
-  sc_opc : int array;
   sc_pi : int array;
   (* local stats, flushed to Metrics by [record_metrics] *)
   mutable st_probes : int;
@@ -111,33 +110,26 @@ let bit_index64 b =
     (Int64.to_int (Int64.shift_right_logical (Int64.mul b debruijn64) 58)
      land 63)
 
-(* Byte tables for the packed signature counts. A mask [m] splits as
-   byte position [P = m lsr 3] and in-byte bit [i = m land 7], with
-   [popcount m = popcount P + popcount i]. For a row byte of value [v]
-   at position [P], [byte_t1.(v)] holds, in four 8-bit fields, how many
-   set bits [i] of [v] have [popcount i = 0, 1, 2, 3] — so one integer
-   add per byte accumulates four level counts at once. [byte_t2.(c)]
-   is the same restricted to bits [i] with bit [c] set (the in-byte
-   channels 0-2); channels >= 3 are decided by [P] alone and reuse
-   [byte_t1]. *)
-let byte_t1 =
+(* A mask [m] splits as byte position [P = m lsr 3] and in-byte bit
+   [i = m land 7]; the masks a row byte of value [v] holds are [8P + i]
+   for its set bits [i], so their AND is [8P lor and_all.(v)]. *)
+let and_all =
   Array.init 256 (fun v ->
-      let acc = ref 0 in
+      let acc = ref 7 in
       for i = 0 to 7 do
-        if (v lsr i) land 1 = 1 then
-          acc := !acc + (1 lsl (8 * Bitops.popcount i))
+        if (v lsr i) land 1 = 1 then acc := !acc land i
       done;
       !acc)
 
-let byte_t2 =
-  Array.init 3 (fun c ->
-      Array.init 256 (fun v ->
-          let acc = ref 0 in
-          for i = 0 to 7 do
-            if (v lsr i) land 1 = 1 && (i lsr c) land 1 = 1 then
-              acc := !acc + (1 lsl (8 * Bitops.popcount i))
-          done;
-          !acc))
+(* the in-byte bits [i] with bit [c] set, c < 3: a byte [v]'s masks
+   with channel [c] are those of the byte [v land low_sel.(c)] *)
+let low_sel = [| 0xAA; 0xCC; 0xF0 |]
+
+(* popcount and index of the lowest set bit (0 for 0) of a value below
+   2^10 — the channel sets of the permutation match (n <= 10) *)
+let pop10 = Array.init 1024 Bitops.popcount
+let ctz10 =
+  Array.init 1024 (fun v -> if v = 0 then 0 else Bitops.floor_log2 (v land -v))
 
 (* Word patterns shared by every width: [intra.(i).(j)] (i < j < 6)
    selects the in-word positions with bit i set and bit j clear — the
@@ -211,8 +203,35 @@ let check_n n =
   if n < 2 || n > 16 then
     invalid_arg "Arena.create: n must be in [2, 16] (rows are 2^n bits)"
 
+(* [inc.(((pc lsl 8) lor v) * sig_words + w)]: word [w] of the packed
+   level counts of the masks a byte of value [v] holds at a position of
+   popcount [pc] (mask [8P + i] has [popcount P + popcount i] ones) *)
+let increments lay ~n ~npc =
+  let sw = lay.sig_words in
+  let inc = Array.make (npc * 256 * sw) 0 in
+  for pc = 0 to npc - 1 do
+    for v = 0 to 255 do
+      for i = 0 to 7 do
+        let k = pc + Bitops.popcount i in
+        if (v lsr i) land 1 = 1 && k <= n then begin
+          let o = (((pc lsl 8) lor v) * sw) + lay.field_word.(k) in
+          inc.(o) <- inc.(o) + (1 lsl lay.field_shift.(k))
+        end
+      done
+    done
+  done;
+  inc
+
+(* channels [base + d] for the set bits [d] of [x], below [n] *)
+let channels_of ~n base x =
+  Array.of_list
+    (List.filter (fun c -> (x lsr (c - base)) land 1 = 1)
+       (List.init (max 0 (n - base)) (fun d -> base + d)))
+
 let create ?(with_sigs = true) ~n () =
   check_n n;
+  if with_sigs && n > 10 then
+    invalid_arg "Arena.create: signatures need n <= 10";
   let wpr = max 1 ((1 lsl n) / 64) in
   (* start small: a depth-0 search or a worker's slice commits a
      handful of rows, and [grow] / [rehash] double on demand *)
@@ -228,26 +247,9 @@ let create ?(with_sigs = true) ~n () =
     done;
     r
   in
-  let count_pat =
-    let slots = if with_sigs then n + 1 + (n * (n + 1)) else 0 in
-    let p = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout (slots * wpr) in
-    Bigarray.Array1.fill p 0L;
-    let set slot m =
-      let w = (slot * wpr) + (m lsr 6) in
-      Bigarray.Array1.set p w
-        (Int64.logor (Bigarray.Array1.get p w) (Int64.shift_left 1L (m land 63)))
-    in
-    if with_sigs then
-      for m = 0 to (1 lsl n) - 1 do
-        let k = Bitops.popcount m in
-        set k m;
-        for c = 0 to n - 1 do
-          if (m lsr c) land 1 = 1 then set (n + 1 + (c * (n + 1)) + k) m
-        done
-      done;
-    p
-  in
   let positions = if with_sigs then wpr * 8 else 0 in
+  let npc = 1 + Bitops.popcount (max 0 (positions - 1)) in
+  let tables f = if with_sigs then f () else [||] in
   { n;
     wpr;
     cap;
@@ -256,30 +258,25 @@ let create ?(with_sigs = true) ~n () =
     card = Array.make cap 0;
     level = Array.make cap 0;
     hash = Array.make cap 0;
-    sigs = (if with_sigs then Array.make (cap * sig_stride) 0 else [||]);
+    sigs = tables (fun () -> Array.make (cap * sig_stride) 0);
+    imps = tables (fun () -> Array.make (cap * 2) 0);
     with_sigs;
     sig_stride;
     lay;
     table = Array.make 256 0;
     mask = 255;
     sorted_row;
-    count_pat;
     byte_pc = Array.init positions Bitops.popcount;
-    byte_hc =
-      Array.init positions (fun p ->
-          let l = ref [] in
-          for d = 12 downto 0 do
-            if (p lsr d) land 1 = 1 then l := (3 + d) :: !l
-          done;
-          Array.of_list !l);
-    sc_accl = Array.make (max 1 (n - 2)) 0;
-    sc_accc = Array.make_matrix n (max 1 (n - 2)) 0;
-    sc_lvl = Array.make (n + 1) 0;
-    sc_chan = Array.make_matrix n (n + 1) 0;
-    sc_zeros = Array.make (n + 1) 0;
-    sc_cand = Array.make n 0;
+    inc_lvl = tables (fun () -> increments lay ~n ~npc);
+    byte_hc = tables (fun () -> Array.init 8 (channels_of ~n 3));
+    word_hc = tables (fun () -> Array.init wpr (channels_of ~n 6));
+    imp_per = 62 / n;
+    sc_imp = Array.make n 0;
+    sc_ia = Array.make n 0;
+    sc_ib = Array.make n 0;
+    sc_tb = Array.make n 0;
+    sc_cand = Array.make (n * n) 0;
     sc_order = Array.init n Fun.id;
-    sc_opc = Array.make n 0;
     sc_pi = Array.make n 0;
     st_probes = 0;
     st_collisions = 0;
@@ -308,18 +305,18 @@ let grow t =
     (Bigarray.Array1.sub t.words 0 ((t.cap + 1) * t.wpr))
     (Bigarray.Array1.sub words' 0 ((t.cap + 1) * t.wpr));
   t.words <- words';
-  let grow_arr a fill =
-    let a' = Array.make cap' fill in
-    Array.blit a 0 a' 0 t.cap;
+  (* [per] ints per row *)
+  let grow_arr ?(per = 1) a =
+    let a' = Array.make (cap' * per) 0 in
+    Array.blit a 0 a' 0 (t.cap * per);
     a'
   in
-  t.card <- grow_arr t.card 0;
-  t.level <- grow_arr t.level 0;
-  t.hash <- grow_arr t.hash 0;
+  t.card <- grow_arr t.card;
+  t.level <- grow_arr t.level;
+  t.hash <- grow_arr t.hash;
   if t.with_sigs then begin
-    let s' = Array.make (cap' * t.sig_stride) 0 in
-    Array.blit t.sigs 0 s' 0 (t.cap * t.sig_stride);
-    t.sigs <- s'
+    t.sigs <- grow_arr ~per:t.sig_stride t.sigs;
+    t.imps <- grow_arr ~per:2 t.imps
   end;
   t.cap <- cap'
 
@@ -479,29 +476,6 @@ let rehash t =
 
 let sig_base t idx = idx * t.sig_stride
 
-(* pack counts (field k = counts.(k)) at t.sigs[off ..]; runs 2n + 1
-   times per committed state, so the single-word case (n <= 9) builds
-   the word in a register and stores once *)
-let pack_counts t counts off =
-  let lay = t.lay in
-  if lay.sig_words = 1 then begin
-    let shift = lay.field_shift in
-    let acc = ref 0 in
-    for k = 0 to t.n do
-      acc := !acc lor (Array.unsafe_get counts k lsl Array.unsafe_get shift k)
-    done;
-    Array.unsafe_set t.sigs off !acc
-  end
-  else begin
-    for w = 0 to lay.sig_words - 1 do
-      t.sigs.(off + w) <- 0
-    done;
-    for k = 0 to t.n do
-      let w = lay.field_word.(k) and s = lay.field_shift.(k) in
-      t.sigs.(off + w) <- t.sigs.(off + w) lor (counts.(k) lsl s)
-    done
-  end
-
 let iter_row_masks t base f =
   for w = 0 to t.wpr - 1 do
     let x = ref (Bigarray.Array1.unsafe_get t.words (base + w)) in
@@ -513,128 +487,138 @@ let iter_row_masks t base f =
     done
   done
 
-(* count = popcount (row AND pattern), one word op pair per row word *)
-let pat_count t rbase slot =
-  let c = ref 0 in
-  let pbase = slot * t.wpr in
-  for w = 0 to t.wpr - 1 do
-    c :=
-      !c
-      + pop64
-          (Int64.logand
-             (Bigarray.Array1.unsafe_get t.words (rbase + w))
-             (Bigarray.Array1.unsafe_get t.count_pat (pbase + w)))
-  done;
-  !c
+(* add the packed counts [a0] (and [a1], second word) to the signature
+   at [sigs.(o ..)]; fields never carry into each other because every
+   count stays within its width *)
+let add_sig sigs o a0 a1 sw =
+  Array.unsafe_set sigs o (Array.unsafe_get sigs o + a0);
+  if sw = 2 then
+    Array.unsafe_set sigs (o + 1) (Array.unsafe_get sigs (o + 1) + a1)
 
-(* reference path (n > 10): one masked popcount per (slot, row word) *)
-let compute_counts_pat t rbase =
-  let nn = t.n in
-  for k = 0 to nn do
-    t.sc_lvl.(k) <- pat_count t rbase k
-  done;
-  for c = 0 to nn - 1 do
-    let row = t.sc_chan.(c) in
-    for k = 0 to nn do
-      row.(k) <- pat_count t rbase (nn + 1 + (c * (nn + 1)) + k)
-    done
-  done
+(* ... the packed increment at [tbl.(r ..)] *)
+let add_inc sigs o tbl r sw =
+  add_sig sigs o (Array.unsafe_get tbl r)
+    (if sw = 2 then Array.unsafe_get tbl (r + 1) else 0)
+    sw
 
-(* fast path (n <= 10, so every count fits 8 bits): one [byte_t1] add
-   per nonzero row byte accumulates four level counts at once, keyed
-   by the byte position's popcount; in-byte channels use [byte_t2],
-   higher channels gate [byte_t1] on the position's bits *)
-let compute_counts_packed t rbase =
-  let nn = t.n in
-  let accl = t.sc_accl and accc = t.sc_accc in
-  let asz = Array.length accl in
-  Array.fill accl 0 asz 0;
-  for c = 0 to nn - 1 do
-    Array.fill accc.(c) 0 asz 0
-  done;
+(* One pass over the row's nonzero bytes. Each byte adds its packed
+   level increment ([inc_lvl], keyed by the position's popcount) to the
+   level signature and to the ones signature of every channel its
+   masks all set — channels 3-5 by the byte's offset in its word,
+   channels >= 6 by the word index, so those take the word's summed
+   increment once per word. An in-byte channel c < 3 takes the
+   increment of the sub-byte [v land low_sel.(c)]. The same pass ANDs
+   the byte's masks into each such channel's implication mask. Each
+   zeros signature is then [level - ones], one borrow-free subtraction
+   per word since ones <= level fieldwise. *)
+let compute_sigs t idx =
+  let nn = t.n and sw = t.lay.sig_words in
+  let rbase = idx * t.wpr and base = sig_base t idx in
+  let sigs = t.sigs and imp = t.sc_imp in
+  let inc_lvl = t.inc_lvl in
+  let full = (1 lsl nn) - 1 in
+  Array.fill sigs base t.sig_stride 0;
+  Array.fill imp 0 nn full;
   let nlow = min 3 nn in
   for w = 0 to t.wpr - 1 do
     let x = Bigarray.Array1.unsafe_get t.words (rbase + w) in
-    if x <> 0L then
+    if x <> 0L then begin
+      let acc0 = ref 0 and acc1 = ref 0 and wand = ref full in
       for b = 0 to 7 do
         let v = Int64.to_int (Int64.shift_right_logical x (8 * b)) land 0xFF in
         if v <> 0 then begin
           let p = (w lsl 3) + b in
-          let pc = Array.unsafe_get t.byte_pc p in
-          let tv = Array.unsafe_get byte_t1 v in
-          Array.unsafe_set accl pc (Array.unsafe_get accl pc + tv);
+          let pc8 = Array.unsafe_get t.byte_pc p lsl 8 in
+          let r = (pc8 lor v) * sw in
+          acc0 := !acc0 + Array.unsafe_get inc_lvl r;
+          if sw = 2 then acc1 := !acc1 + Array.unsafe_get inc_lvl (r + 1);
+          let hi = p lsl 3 in
           for c = 0 to nlow - 1 do
-            let a = Array.unsafe_get accc c in
-            Array.unsafe_set a pc
-              (Array.unsafe_get a pc
-              + Array.unsafe_get (Array.unsafe_get byte_t2 c) v)
+            let vc = v land Array.unsafe_get low_sel c in
+            if vc <> 0 then begin
+              add_inc sigs (base + ((1 + (2 * c)) * sw)) inc_lvl
+                ((pc8 lor vc) * sw) sw;
+              Array.unsafe_set imp c
+                (Array.unsafe_get imp c
+                land (hi lor Array.unsafe_get and_all vc))
+            end
           done;
-          let hc = Array.unsafe_get t.byte_hc p in
-          for k = 0 to Array.length hc - 1 do
-            let a = Array.unsafe_get accc (Array.unsafe_get hc k) in
-            Array.unsafe_set a pc (Array.unsafe_get a pc + tv)
+          let a = hi lor Array.unsafe_get and_all v in
+          wand := !wand land a;
+          let hc = Array.unsafe_get t.byte_hc b in
+          for j = 0 to Array.length hc - 1 do
+            let c = Array.unsafe_get hc j in
+            add_inc sigs (base + ((1 + (2 * c)) * sw)) inc_lvl r sw;
+            Array.unsafe_set imp c (Array.unsafe_get imp c land a)
           done
         end
+      done;
+      (* the word's masks all set its channels >= 6 *)
+      let a0 = !acc0 and a1 = !acc1 and wand = !wand in
+      add_sig sigs base a0 a1 sw;
+      let hc = Array.unsafe_get t.word_hc w in
+      for j = 0 to Array.length hc - 1 do
+        let c = Array.unsafe_get hc j in
+        add_sig sigs (base + ((1 + (2 * c)) * sw)) a0 a1 sw;
+        Array.unsafe_set imp c (Array.unsafe_get imp c land wand)
       done
-  done;
-  let lvl = t.sc_lvl and chan = t.sc_chan in
-  Array.fill lvl 0 (nn + 1) 0;
-  for pc = 0 to asz - 1 do
-    let a = Array.unsafe_get accl pc in
-    if a <> 0 then
-      for j = 0 to min 3 (nn - pc) do
-        let k = pc + j in
-        Array.unsafe_set lvl k
-          (Array.unsafe_get lvl k + ((a lsr (8 * j)) land 0xFF))
-      done
+    end
   done;
   for c = 0 to nn - 1 do
-    let row = chan.(c) and ac = accc.(c) in
-    Array.fill row 0 (nn + 1) 0;
-    for pc = 0 to asz - 1 do
-      let a = Array.unsafe_get ac pc in
-      if a <> 0 then
-        for j = 0 to min 3 (nn - pc) do
-          let k = pc + j in
-          Array.unsafe_set row k
-            (Array.unsafe_get row k + ((a lsr (8 * j)) land 0xFF))
-        done
+    let o = base + ((1 + (2 * c)) * sw) in
+    for k = 0 to sw - 1 do
+      Array.unsafe_set sigs (o + sw + k)
+        (Array.unsafe_get sigs (base + k) - Array.unsafe_get sigs (o + k))
     done
-  done
-
-let compute_sigs t idx =
-  let nn = t.n in
-  let rbase = idx * t.wpr in
-  if nn <= 10 then compute_counts_packed t rbase else compute_counts_pat t rbase;
-  let sw = t.lay.sig_words in
-  let base = sig_base t idx in
-  let lvl = t.sc_lvl in
-  pack_counts t lvl base;
-  (* channel c: ones signature then zeros (complement) signature *)
-  let zeros = t.sc_zeros in
-  for c = 0 to nn - 1 do
-    let ones = t.sc_chan.(c) in
-    for k = 0 to nn do
-      zeros.(k) <- lvl.(k) - ones.(k)
-    done;
-    pack_counts t ones (base + ((1 + (2 * c)) * sw));
-    pack_counts t zeros (base + ((2 + (2 * c)) * sw))
-  done
-
-(* fieldwise a <= b over one packed signature (the borrow trick) *)
-let sig_le t off_a off_b =
-  let lay = t.lay in
-  let ok = ref true in
-  for w = 0 to lay.sig_words - 1 do
-    let g = Array.unsafe_get lay.guards w in
-    if
-      ((Array.unsafe_get t.sigs (off_b + w) lor g)
-      - Array.unsafe_get t.sigs (off_a + w))
-        land g
-      <> g
-    then ok := false
   done;
-  !ok
+  (* pack: channel c at int [c / imp_per], field [c mod imp_per] *)
+  let per = t.imp_per in
+  let i0 = ref 0 and i1 = ref 0 in
+  for c = nn - 1 downto 0 do
+    if c < per then i0 := (!i0 lsl nn) lor Array.unsafe_get imp c
+    else i1 := (!i1 lsl nn) lor Array.unsafe_get imp c
+  done;
+  t.imps.(2 * idx) <- !i0;
+  t.imps.((2 * idx) + 1) <- !i1
+
+(* channel [c]'s implication mask of row [idx] *)
+let implied t idx c =
+  let hi = if c < t.imp_per then 0 else 1 in
+  (t.imps.((2 * idx) + hi) lsr ((c - (hi * t.imp_per)) * t.n))
+  land ((1 lsl t.n) - 1)
+
+type filters = {
+  counts : Subsume.fingerprint;
+  zeros : int array array;
+  implied : int array;
+}
+
+let filters t idx =
+  if not t.with_sigs then
+    invalid_arg "Arena.filters: arena built without signatures";
+  let sw = t.lay.sig_words and base = sig_base t idx in
+  let decode off =
+    Array.init (t.n + 1) (fun k ->
+        let width = width_of_value (binomial t.n k) in
+        (t.sigs.(off + t.lay.field_word.(k)) lsr t.lay.field_shift.(k))
+        land ((1 lsl width) - 1))
+  in
+  let chan j = Array.init t.n (fun c -> decode (base + ((j + (2 * c)) * sw))) in
+  { counts =
+      { card = t.card.(idx); level_card = decode base; chan_ones = chan 1 };
+    zeros = chan 2;
+    implied = Array.init t.n (implied t idx) }
+
+(* fieldwise A <= B over the packed signatures at [oa] and [ob]: no
+   field borrows in [(B | guards) - A] (the carry trick). [g1] is the
+   second word's guards, 0 when signatures take one word (n <= 9). *)
+let[@inline] sig_le sigs g0 g1 oa ob =
+  ((Array.unsafe_get sigs ob lor g0) - Array.unsafe_get sigs oa) land g0 = g0
+  && (g1 = 0
+     || ((Array.unsafe_get sigs (ob + 1) lor g1)
+        - Array.unsafe_get sigs (oa + 1))
+        land g1
+        = g1)
 
 (* --- dedup insert --- *)
 
@@ -710,10 +694,12 @@ let iter_masks t idx f = iter_row_masks t (idx * t.wpr) f
    Boolean-identical to [Subsume.subsumes] on the corresponding
    states: the card / level / channel filters are the same pointwise
    <= tests (packed), the backtracking explores the same assignment
-   space (possibly in a different order), and the final check is the
-   same mask-image inclusion. The extra union check below only refutes
-   pairs the backtracking would refute anyway (a channel of B missing
-   from every candidate set cannot be covered by the injection). *)
+   space (possibly in a different order) less the branches the
+   implication masks rule out, and the final check is the same
+   mask-image inclusion. The extra checks only refute what the
+   backtracking would refute anyway: a channel of B missing from every
+   candidate set cannot be covered by the injection, and an assignment
+   that breaks an implication maps some mask of A outside B. *)
 
 exception No
 
@@ -826,16 +812,10 @@ let stage_child t ~parent st =
 let subsumes t a b =
   t.card.(a) <= t.card.(b)
   &&
-  let sw = t.lay.sig_words in
+  let sigs = t.sigs and sw = t.lay.sig_words in
+  let g0 = t.lay.guards.(0) and g1 = if sw = 2 then t.lay.guards.(1) else 0 in
   let sa = sig_base t a and sb = sig_base t b in
-  (* n <= 9 packs each signature into one word: inline the borrow
-     test there — this pair loop is the filter's hottest code and
-     classic-mode ocamlopt does not inline sig_le *)
-  (if sw = 1 then
-     let g = t.lay.guards.(0) in
-     ((Array.unsafe_get t.sigs sb lor g) - Array.unsafe_get t.sigs sa) land g
-     = g
-   else sig_le t sa sb)
+  sig_le sigs g0 g1 sa sb
   && (row_subset t (a * t.wpr) (b * t.wpr)
      ||
      let nn = t.n in
@@ -843,66 +823,51 @@ let subsumes t a b =
      let full = (1 lsl nn) - 1 in
      match
        let union = ref 0 in
-       (if sw = 1 then begin
-          let sigs = t.sigs and g = t.lay.guards.(0) in
-          for c = 0 to nn - 1 do
-            let oa = Array.unsafe_get sigs (sa + 1 + (2 * c))
-            and za = Array.unsafe_get sigs (sa + 2 + (2 * c)) in
-            let m = ref 0 in
-            for c' = 0 to nn - 1 do
-              let ob = Array.unsafe_get sigs (sb + 1 + (2 * c')) in
-              if ((ob lor g) - oa) land g = g then begin
-                let zb = Array.unsafe_get sigs (sb + 2 + (2 * c')) in
-                if ((zb lor g) - za) land g = g then m := !m lor (1 lsl c')
-              end
-            done;
-            if !m = 0 then raise No;
-            cand.(c) <- !m;
-            union := !union lor !m
-          done
-        end
-        else
-          for c = 0 to nn - 1 do
-            let m = ref 0 in
-            let oa = sa + ((1 + (2 * c)) * sw)
-            and za = sa + ((2 + (2 * c)) * sw) in
-            for c' = 0 to nn - 1 do
-              if
-                sig_le t oa (sb + ((1 + (2 * c')) * sw))
-                && sig_le t za (sb + ((2 + (2 * c')) * sw))
-              then m := !m lor (1 lsl c')
-            done;
-            if !m = 0 then raise No;
-            cand.(c) <- !m;
-            union := !union lor !m
-          done);
+       for c = 0 to nn - 1 do
+         let oa = sa + ((1 + (2 * c)) * sw) in
+         let m = ref 0 in
+         for c' = 0 to nn - 1 do
+           let ob = sb + ((1 + (2 * c')) * sw) in
+           (* ones, then zeros *)
+           if sig_le sigs g0 g1 oa ob && sig_le sigs g0 g1 (oa + sw) (ob + sw)
+           then m := !m lor (1 lsl c')
+         done;
+         if !m = 0 then raise No;
+         cand.(c) <- !m;
+         union := !union lor !m
+       done;
        if !union <> full then raise No
      with
      | exception No -> false
      | () ->
-         (* most constrained channel first — insertion sort on the
-            precomputed candidate popcounts ([Array.sort] with a
-            closure is measurable at this call rate; the order only
-            steers the backtracking, the boolean result is
-            order-independent) *)
-         let order = t.sc_order and opc = t.sc_opc in
+         let order = t.sc_order and pi = t.sc_pi in
+         let ia = t.sc_ia and ib = t.sc_ib and tb = t.sc_tb in
          for c = 0 to nn - 1 do
            order.(c) <- c;
-           opc.(c) <- Bitops.popcount (Array.unsafe_get cand c)
+           ia.(c) <- implied t a c;
+           ib.(c) <- implied t b c
          done;
-         for i = 1 to nn - 1 do
-           let c = Array.unsafe_get order i in
-           let k = Array.unsafe_get opc c in
-           let j = ref (i - 1) in
-           while !j >= 0 && Array.unsafe_get opc (Array.unsafe_get order !j) > k
-           do
-             Array.unsafe_set order (!j + 1) (Array.unsafe_get order !j);
-             decr j
+         (* tb.(c') = the channels d' of B with c' in ib.(d') *)
+         for c' = 0 to nn - 1 do
+           let m = ref 0 in
+           for d' = 0 to nn - 1 do
+             if (ib.(d') lsr c') land 1 = 1 then m := !m lor (1 lsl d')
            done;
-           Array.unsafe_set order (!j + 1) c
+           tb.(c') <- !m
          done;
-         let pi = t.sc_pi in
+         (* the channel with the fewest candidates goes first; later
+            depths pick theirs as they forward-check (the order only
+            steers the backtracking, the boolean result is
+            order-independent) *)
+         let first = ref 0 in
+         for c = 1 to nn - 1 do
+           if pop10.(cand.(c)) < pop10.(cand.(!first)) then first := c
+         done;
+         order.(!first) <- 0;
+         order.(0) <- !first;
          let ba = a * t.wpr and bb = b * t.wpr in
+         (* channel [order.(i)] picks its image from [cand.(i * nn + c)],
+            the depth-i candidate sets; [used] holds the images taken *)
          let rec assign i used =
            if i = nn then begin
              (* image inclusion: every mask of A lands in B — permute
@@ -913,15 +878,54 @@ let subsumes t a b =
              row_subset t (stage_off t) bb
            end
            else begin
-             let c = order.(i) in
-             let avail = ref (cand.(c) land lnot used) in
+             let c = Array.unsafe_get order i in
+             let here = i * nn and next = (i + 1) * nn in
+             let avail = ref (Array.unsafe_get cand (here + c) land lnot used) in
              let ok = ref false in
              while (not !ok) && !avail <> 0 do
-               let bit = !avail land - !avail in
-               let c' = Bitops.floor_log2 bit in
-               pi.(c) <- c';
-               if assign (i + 1) (used lor bit) then ok := true
-               else avail := !avail land lnot bit
+               let c' = Array.unsafe_get ctz10 !avail in
+               let bit = 1 lsl c' in
+               let used' = used lor bit in
+               (* forward check: x -> x' stays a candidate only if
+                  "every mask of B with x' has c'" implies "every mask
+                  of A with x has c", and the same with the two pairs
+                  exchanged — else a mask of A with x and without c
+                  would land on one of B with x' and without c'. The
+                  unassigned channel left with the fewest candidates
+                  goes next. *)
+               let ic = Array.unsafe_get ia c
+               and tc = Array.unsafe_get tb c'
+               and jc = Array.unsafe_get ib c' in
+               let live = ref true and k = ref (i + 1) in
+               let best = ref (i + 1) and best_pop = ref nn in
+               while !live && !k < nn do
+                 let x = Array.unsafe_get order !k in
+                 let m = Array.unsafe_get cand (here + x) land lnot used' in
+                 let m =
+                   if (Array.unsafe_get ia x lsr c) land 1 = 0 then
+                     m land lnot tc
+                   else m
+                 in
+                 let m = if (ic lsr x) land 1 = 0 then m land lnot jc else m in
+                 Array.unsafe_set cand (next + x) m;
+                 let p = Array.unsafe_get pop10 m in
+                 if p = 0 then live := false
+                 else if p < !best_pop then begin
+                   best_pop := p;
+                   best := !k
+                 end;
+                 incr k
+               done;
+               if !live then begin
+                 if !best < nn then begin
+                   let x = Array.unsafe_get order !best in
+                   Array.unsafe_set order !best (Array.unsafe_get order (i + 1));
+                   Array.unsafe_set order (i + 1) x
+                 end;
+                 pi.(c) <- c';
+                 if assign (i + 1) used' then ok := true
+               end;
+               avail := !avail land lnot bit
              done;
              !ok
            end

@@ -27,11 +27,15 @@ type t
 
 val create : ?with_sigs:bool -> n:int -> unit -> t
 (** An empty arena for [n]-wire states ([2 <= n <= 16]; rows are [2^n]
-    bits). [with_sigs] (default true) additionally builds the signature
-    tables and computes, at commit time, the packed SWAR signatures
-    that {!subsumes} needs; pass [false] for equality-dedup-only runs
-    to skip that work. Creation is cheap either way: storage starts
-    small and doubles on demand. *)
+    bits). [with_sigs] (default true) additionally builds the byte
+    tables and computes, at commit time, what {!subsumes} needs: the
+    packed SWAR count signatures and the per-channel implication
+    masks, in one pass over the row's bytes. Signatures need
+    [n <= 10]; pass [false] for equality-dedup-only runs, which skip
+    that work and take any [n]. Creation is cheap either way: storage
+    starts small and doubles on demand.
+    @raise Invalid_argument if [n] is out of range, or [with_sigs] and
+    [n > 10]. *)
 
 val n : t -> int
 
@@ -109,9 +113,33 @@ val subsumes : t -> int -> int -> bool
     wire permutation carry row [a]'s reachable set into a subset of row
     [b]'s? The card / level / per-channel filters run as field-wise
     comparisons on the packed signatures (one subtract-and-mask per
-    signature word), candidate channel images are bitmasks, and the
-    final backtracking search is allocation-free. Requires the arena to
-    have been created with signatures. *)
+    signature word) and candidate channel images are bitmasks. The
+    allocation-free permutation match then forward-checks every
+    assignment [c -> c'] against the implication masks — if every mask
+    of [b] with channel [x'] has [c'], every mask of [a] with [x] must
+    have [c], for each pair still unassigned — a necessary condition
+    for [pi(a) ⊆ b], so a branch dies before any image test. Each
+    complete assignment ends in one word-parallel image-inclusion
+    test. Requires the arena to have been created with signatures. *)
+
+type filters = {
+  counts : Subsume.fingerprint;
+      (** the level and per-channel ones signatures, decoded ([card]
+          is the row's cardinality) *)
+  zeros : int array array;
+      (** [zeros.(c).(k)]: the zeros signature of channel [c] at level
+          [k] *)
+  implied : int array;
+      (** [implied.(c)]: the AND of the row's masks with bit [c] set
+          (all [n] bits when none has it) *)
+}
+(** What {!subsumes} reads of one row, unpacked. *)
+
+val filters : t -> int -> filters
+(** Decode the packed signatures and implication masks of a committed
+    row — for checking them against {!Subsume.fingerprint} and a
+    brute-force AND.
+    @raise Invalid_argument if the arena has no signatures. *)
 
 val record_metrics : t -> unit
 (** Flush the arena's local counters into the global {!Metrics}

@@ -58,50 +58,14 @@ let permute_mask pi m =
   done;
   !img
 
-let subsumes (sa, fa) (sb, fb) =
-  if State.n sa <> State.n sb then
-    invalid_arg "Subsume.subsumes: states of different widths";
-  State.subset sa sb
-  || fa.card <= fb.card
-     && level_cards_le fa fb
-     &&
-     let n = State.n sa in
-     let cand = channel_candidates fa fb in
-     Array.for_all (fun l -> l <> []) cand
-     &&
-     (* assign the most constrained channels first *)
-     let order = Array.init n Fun.id in
-     Array.sort
-       (fun c c' -> compare (List.length cand.(c)) (List.length cand.(c')))
-       order;
-     let pi = Array.make n (-1) in
-     let used = Array.make n false in
-     let rec assign i =
-       if i = n then
-         State.for_all_masks (fun m -> State.mem sb (permute_mask pi m)) sa
-       else
-         let c = order.(i) in
-         List.exists
-           (fun c' ->
-             (not used.(c'))
-             && begin
-                  pi.(c) <- c';
-                  used.(c') <- true;
-                  let r = assign (i + 1) in
-                  used.(c') <- false;
-                  r
-                end)
-           cand.(c)
-     in
-     assign 0
-
-let subsumes_states a b = subsumes (a, fingerprint a) (b, fingerprint b)
-
-(* Same search as [subsumes], but hands back the witnessing wire
+(* The plain specification the arena's subsumption test is checked
+   against: the identity case, the count filters, then a backtracking
+   match (most constrained channel first) whose every complete
+   assignment is tested mask by mask. Hands back the witnessing wire
    permutation so a certificate can cite it. *)
 let subsumes_perm (sa, fa) (sb, fb) =
   if State.n sa <> State.n sb then
-    invalid_arg "Subsume.subsumes_perm: states of different widths";
+    invalid_arg "Subsume: states of different widths";
   let n = State.n sa in
   if State.subset sa sb then Some (Array.init n Fun.id)
   else if not (fa.card <= fb.card && level_cards_le fa fb) then None
@@ -134,6 +98,9 @@ let subsumes_perm (sa, fa) (sb, fb) =
       in
       if assign 0 then Some pi else None
     end
+
+let subsumes a b = Option.is_some (subsumes_perm a b)
+let subsumes_states a b = subsumes (a, fingerprint a) (b, fingerprint b)
 
 (* --- canonical wire-permutation form --- *)
 

@@ -43,10 +43,12 @@ val channel_candidates : fingerprint -> fingerprint -> int list array
     any channel refutes subsumption without a permutation search. *)
 
 val subsumes : State.t * fingerprint -> State.t * fingerprint -> bool
-(** [subsumes (a, fa) (b, fb)] decides whether [a] subsumes [b]. The
+(** [subsumes (a, fa) (b, fb)] decides whether [a] subsumes [b]: it is
+    [Option.is_some (subsumes_perm (a, fa) (b, fb))]. The
     identity-permutation case ([subset a b]) is tested first, then the
     filters, then the backtracking match (channels ordered by fewest
-    candidates, final subset check over the vectors of [a]).
+    candidates, final subset check over the vectors of [a]). This is
+    the plain specification [Arena.subsumes] is tested against.
     @raise Invalid_argument if the states have different widths. *)
 
 val subsumes_states : State.t -> State.t -> bool

@@ -17,6 +17,22 @@ let certify n want =
 let test_n7 () = certify 7 6
 let test_n8 () = certify 8 6
 
+let test_n9 () =
+  (* decision identity at the largest size the search certifies (the
+     golden files stop at n=8): a subsumption test that decides any
+     pair differently moves these counters *)
+  match Driver.optimal_depth ~n:9 () with
+  | Driver.Sorted { depth; moves; stats } ->
+      check_int "n=9 optimal depth" 7 depth;
+      check_bool "witness verifies" true (Driver.verify_witness ~n:9 moves);
+      check_int "nodes" 1501595 stats.Driver.nodes;
+      check_int "deduped" 200211 stats.Driver.deduped;
+      check_int "subsumed" 1295950 stats.Driver.subsumed;
+      check_int "redundant" 12677709 stats.Driver.redundant;
+      check_int "peak frontier" 4355 stats.Driver.peak_frontier
+  | Driver.Unsorted _ | Driver.Inconclusive _ | Driver.Interrupted _ ->
+      Alcotest.fail "n=9 search failed"
+
 let test_n7_reference_agreement () =
   (* the equality-dedup reference confirms the pruned optimum at n=7
      and quantifies what subsumption buys at this size *)
@@ -52,6 +68,7 @@ let () =
     [ ( "driver",
         [ Alcotest.test_case "n=7 optimal depth 6" `Slow test_n7;
           Alcotest.test_case "n=8 optimal depth 6" `Slow test_n8;
+          Alcotest.test_case "n=9 optimal depth 7" `Slow test_n9;
           Alcotest.test_case "n=7 reference agreement" `Slow
             test_n7_reference_agreement;
           Alcotest.test_case "no 5-stage shuffle sorter at n=8" `Slow

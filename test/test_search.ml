@@ -556,11 +556,28 @@ let prop_arena_dedup_agrees =
              = Subsume.canonical_masks (Hashtbl.find seen (State.key st)))
            (List.filteri (fun i _ -> i < 3) arena_survivors))
 
+(* a random wire permutation other than the identity *)
+let random_nonidentity_perm rng n =
+  let pi = Perm.to_array (Perm.random rng n) in
+  if Array.for_all Fun.id (Array.mapi ( = ) pi) then begin
+    pi.(0) <- 1;
+    pi.(1) <- 0
+  end;
+  pi
+
+let commit_any arena st =
+  Arena.stage_state arena st;
+  match Arena.commit arena ~level:1 with `Fresh i | `Dup i -> i
+
+(* n = 9 is the widest one-word signature, n = 10 needs two words. Half
+   the pairs are true subsumptions — B = pi(A) plus a few random masks
+   under a non-identity pi — because random pairs mostly die in the
+   count filters before the permutation match runs. *)
 let prop_arena_subsumes_parity =
   QCheck.Test.make
-    ~name:"Arena.subsumes = Subsume.subsumes on random frontiers (n=4..8)"
+    ~name:"Arena.subsumes = Subsume.subsumes on random frontiers (n=2..10)"
     ~count:25
-    QCheck.(pair (int_range 0 1_000_000) (int_range 4 8))
+    QCheck.(pair (int_range 0 1_000_000) (int_range 2 10))
     (fun (seed, n) ->
       let rng = Xoshiro.of_seed seed in
       let arena = Arena.create ~n () in
@@ -569,10 +586,24 @@ let prop_arena_subsumes_parity =
       let m = Array.length arr in
       ok
       && List.for_all
-           (fun _ ->
-             let sa, ia = arr.(Xoshiro.int rng ~bound:m)
-             and sb, ib = arr.(Xoshiro.int rng ~bound:m) in
-             Arena.subsumes arena ia ib = Subsume.subsumes_states sa sb)
+           (fun k ->
+             let sa, ia = arr.(Xoshiro.int rng ~bound:m) in
+             if k land 1 = 0 then begin
+               let pi = random_nonidentity_perm rng n in
+               let extra =
+                 List.init (Xoshiro.int rng ~bound:4) (fun _ ->
+                     Xoshiro.int rng ~bound:(1 lsl n))
+               in
+               let sb =
+                 State.of_masks ~n
+                   (State.masks (State.map_masks sa (permute_mask pi)) @ extra)
+               in
+               let ib = commit_any arena sb in
+               Arena.subsumes arena ia ib && Subsume.subsumes_states sa sb
+             end
+             else
+               let sb, ib = arr.(Xoshiro.int rng ~bound:m) in
+               Arena.subsumes arena ia ib = Subsume.subsumes_states sa sb)
            (List.init 250 Fun.id))
 
 (* --- the arena's general stage against the boxed State reference --- *)
@@ -581,6 +612,44 @@ let prop_arena_subsumes_parity =
 let random_state rng n =
   let card = 1 + Xoshiro.int rng ~bound:(min 200 (1 lsl n)) in
   State.of_masks ~n (List.init card (fun _ -> Xoshiro.int rng ~bound:(1 lsl n)))
+
+let test_arena_sigs_width () =
+  (* signatures (and so subsumption) stop at n = 10; equality-dedup
+     arenas take any supported width *)
+  check_bool "with_sigs n=11 rejected" true
+    (match Arena.create ~n:11 () with
+     | exception Invalid_argument _ -> true
+     | _ -> false);
+  check_int "with_sigs:false n=11" 0
+    (Arena.length (Arena.create ~with_sigs:false ~n:11 ()))
+
+(* the brute-force implication mask: the AND of the masks with bit c *)
+let implied_masks st n =
+  Array.init n (fun c ->
+      State.fold_masks
+        (fun m acc -> if (m lsr c) land 1 = 1 then acc land m else acc)
+        st ((1 lsl n) - 1))
+
+let prop_arena_filters_decode =
+  QCheck.Test.make
+    ~name:"Arena.filters = Subsume.fingerprint and brute-force ANDs (n=2..10)"
+    ~count:100
+    QCheck.(pair (int_range 0 1_000_000) (int_range 2 10))
+    (fun (seed, n) ->
+      let rng = Xoshiro.of_seed seed in
+      let arena = Arena.create ~n () in
+      let _, frontier = random_frontier rng arena n 10 in
+      List.for_all
+        (fun st ->
+          let f = Arena.filters arena (commit_any arena st) in
+          let fp = Subsume.fingerprint st in
+          f.Arena.counts = fp
+          && f.Arena.zeros
+             = Array.map
+                 (Array.mapi (fun k ones -> fp.Subsume.level_card.(k) - ones))
+                 fp.Subsume.chan_ones
+          && f.Arena.implied = implied_masks st n)
+        (List.init 10 (fun _ -> random_state rng n) @ List.map fst frontier))
 
 let staged_image arena st stage =
   Arena.stage_state arena st;
@@ -716,7 +785,10 @@ let () =
           QCheck_alcotest.to_alcotest prop_stage_comparators;
           QCheck_alcotest.to_alcotest prop_stage_shuffle;
           Alcotest.test_case "search = legacy golden files" `Quick
-            test_arena_engine_equivalence ] );
+            test_arena_engine_equivalence;
+          QCheck_alcotest.to_alcotest prop_arena_filters_decode;
+          Alcotest.test_case "signatures need n <= 10" `Quick
+            test_arena_sigs_width ] );
       ( "driver",
         [ Alcotest.test_case "known optima n<=6" `Quick test_known_optimal_depths;
           Alcotest.test_case "reference agreement + 10x pruning" `Quick
