@@ -813,9 +813,8 @@ let search_cmd =
                     (Min_depth.verify_witness ~n prog);
                   List.iteri
                     (fun i ops ->
-                      Printf.printf "  stage %d: " (i + 1);
-                      Array.iter (fun op -> Format.printf "%a" Register_model.pp_op op) ops;
-                      print_newline ())
+                      Format.printf "  stage %d: %a@." (i + 1)
+                        (fun fmt -> Array.iter (Register_model.pp_op fmt)) ops)
                     prog;
                   0
               | Min_depth.Impossible ->

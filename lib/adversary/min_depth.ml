@@ -108,8 +108,7 @@ let verify_witness ~n program =
   let prog = Register_model.shuffle_program ~n program in
   Zero_one.is_sorting_network (Register_model.to_network prog)
 
-let minimal_depth ~n ~max_depth ?budget ?domains:_ ?sink ?cancel ?checkpoint
-    ?resume () =
+let minimal_depth ~n ~max_depth ?budget ?sink ?cancel ?checkpoint ?resume () =
   check_n ~fn:"Min_depth.minimal_depth" n;
   match
     Driver.run ?budget ?sink ?cancel ?checkpoint ?resume ~max_depth

@@ -27,8 +27,8 @@
     not commute with the fixed shuffle wiring, so subsumption is
     unsound here.
 
-    The search is single-domain and deterministic; the [domains]
-    arguments below are accepted and ignored. *)
+    The search is single-domain and deterministic; {!search} accepts
+    a [domains] argument and ignores it. *)
 
 type outcome =
   | Sorter of Register_model.op array list
@@ -67,7 +67,7 @@ val search :
     @raise Invalid_argument unless [n] is a power of two in [2, 16]. *)
 
 val minimal_depth :
-  n:int -> max_depth:int -> ?budget:Driver.budget -> ?domains:int ->
+  n:int -> max_depth:int -> ?budget:Driver.budget ->
   ?sink:Sink.t -> ?cancel:Cancel.t -> ?checkpoint:string * float ->
   ?resume:Driver.resume_state -> unit -> minimal
 (** The least [D <= max_depth] admitting a sorter, with a verified

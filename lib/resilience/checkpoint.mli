@@ -10,7 +10,7 @@
     0       8     magic "SNLBCKPT"
     8       4     CRC-32 (big-endian) of every byte from offset 12 on
     12      4     format version (currently 1)
-    16      4+k   kind: length-prefixed string, e.g. "snlb-search-driver"
+    16      4+k   kind: length-prefixed string, e.g. "snlb-search-driver-3"
     ..      ..    meta: count, then length-prefixed key/value pairs
     ..      4+p   payload: length-prefixed bytes
     v}

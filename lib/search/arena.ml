@@ -3,8 +3,8 @@
    Every state the BFS ever sees lives as a packed row of int64 words
    in one flat Bigarray (64 masks per word — mask [m] is bit [m mod 64]
    of word [m / 64] of its row), with the per-state scalars the
-   subsumption filters scan (cardinality, BFS level, hash, packed
-   filter signatures) in parallel int arrays: a struct-of-arrays
+   subsumption filters scan (cardinality, hash, packed filter
+   signatures) in parallel int arrays: a struct-of-arrays
    layout, so the hot scans touch dense int arrays instead of chasing
    boxed [State.t]/fingerprint records. Dedup is an open-addressing
    hash table keyed by an xxhash64-style hash of the row words — no
@@ -47,7 +47,6 @@ type t = {
   mutable len : int; (* committed states *)
   mutable words : row; (* (cap + 1) * wpr; row [len] is the staging slot *)
   mutable card : int array;
-  mutable level : int array;
   mutable hash : int array; (* 62-bit nonnegative row hash *)
   mutable sigs : int array; (* cap * sig_stride when with_sigs *)
   mutable imps : int array; (* cap * 2 packed implication masks *)
@@ -256,7 +255,6 @@ let create ?(with_sigs = true) ~n () =
     len = 0;
     words = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout ((cap + 1) * wpr);
     card = Array.make cap 0;
-    level = Array.make cap 0;
     hash = Array.make cap 0;
     sigs = tables (fun () -> Array.make (cap * sig_stride) 0);
     imps = tables (fun () -> Array.make (cap * 2) 0);
@@ -285,7 +283,6 @@ let create ?(with_sigs = true) ~n () =
 let n t = t.n
 let length t = t.len
 let card t idx = t.card.(idx)
-let level t idx = t.level.(idx)
 
 let record_metrics t =
   Metrics.add c_probes t.st_probes;
@@ -312,7 +309,6 @@ let grow t =
     a'
   in
   t.card <- grow_arr t.card;
-  t.level <- grow_arr t.level;
   t.hash <- grow_arr t.hash;
   if t.with_sigs then begin
     t.sigs <- grow_arr ~per:t.sig_stride t.sigs;
@@ -622,7 +618,7 @@ let[@inline] sig_le sigs g0 g1 oa ob =
 
 (* --- dedup insert --- *)
 
-let commit t ~level =
+let commit t =
   let base = stage_off t in
   let h = row_hash t base in
   let slot = ref (h land t.mask) in
@@ -653,7 +649,6 @@ let commit t ~level =
     t.table.(!slot) <- idx + 1;
     t.hash.(idx) <- h;
     t.card.(idx) <- row_card t base;
-    t.level.(idx) <- level;
     t.len <- idx + 1;
     if t.with_sigs then compute_sigs t idx;
     (* keep the load factor <= 1/2 *)
@@ -687,7 +682,45 @@ let state_of_base t base =
 
 let to_state t idx = state_of_base t (idx * t.wpr)
 let staged_state t = state_of_base t (stage_off t)
-let iter_masks t idx f = iter_row_masks t (idx * t.wpr) f
+
+(* --- row codec (layout in the mli): the words as they are --- *)
+
+let encode_rows t buf rows =
+  List.iter
+    (fun v -> Buffer.add_int32_le buf (Int32.of_int v))
+    [ 1; t.n; List.length rows ];
+  List.iter
+    (fun idx ->
+      if idx < 0 || idx >= t.len then invalid_arg "Arena.encode_rows";
+      for w = idx * t.wpr to ((idx + 1) * t.wpr) - 1 do
+        Buffer.add_int64_le buf (Bigarray.Array1.get t.words w)
+      done)
+    rows
+
+let decode_rows t s ~pos f =
+  let u32 o = Int32.to_int (String.get_int32_le s (pos + o)) land 0xFFFF_FFFF in
+  (* below n = 6 a row is one partial word: its bits >= 2^n are no masks *)
+  let stray = if t.n >= 6 then 0L else Int64.shift_left (-1L) (1 lsl t.n) in
+  if pos < 0 || pos > String.length s - 12 || u32 0 <> 1 || u32 4 <> t.n then
+    Error "row block: bad header"
+  else if u32 8 > (String.length s - pos - 12) / (8 * t.wpr) then
+    Error "row block: truncated"
+  else
+    let rec go k o =
+      if k = u32 8 then Ok o
+      else if Int64.logand (String.get_int64_le s o) stray <> 0L then
+        Error "row block: mask out of range"
+      else begin
+        if t.len >= t.cap then grow t;
+        for w = 0 to t.wpr - 1 do
+          let x = String.get_int64_le s (o + (8 * w)) in
+          Bigarray.Array1.set t.words (stage_off t + w) x
+        done;
+        f k;
+        go (k + 1) (o + (8 * t.wpr))
+      end
+    in
+    go 0 (pos + 12)
 
 (* --- subsumption ---
 

@@ -2,8 +2,8 @@
 
     Every state the BFS ever sees is one flat row of int64 Bigarray
     words (64 reachable masks per word), with the scalars the
-    subsumption filters scan — cardinality, BFS level, row hash and
-    the packed filter signatures — in parallel int arrays: a
+    subsumption filters scan — cardinality, row hash and the packed
+    filter signatures — in parallel int arrays: a
     struct-of-arrays layout the hot loops walk without chasing boxed
     [State.t] or fingerprint records. Dedup is open addressing over an
     xxhash64-style row hash (linear probing, power-of-two table,
@@ -76,11 +76,11 @@ val staged_is_sorted : t -> bool
 (** Whether the staging row's reachable set contains only the [n + 1]
     sorted 0-1 vectors — the "witness found" test, before commit. *)
 
-val commit : t -> level:int -> [ `Fresh of int | `Dup of int ]
+val commit : t -> [ `Fresh of int | `Dup of int ]
 (** Dedup-insert the staging row: [`Dup idx] if a row with identical
     words was already committed (the staging row is simply abandoned),
-    else [`Fresh idx] freezing it at the next index with BFS level
-    [level] (and its signatures, when enabled). *)
+    else [`Fresh idx] freezing it at the next index (and computing its
+    signatures, when enabled). *)
 
 val staged_state : t -> State.t
 (** Unpack the staging row (allocating) without committing it — for
@@ -96,16 +96,28 @@ val truncate : t -> int -> unit
 val card : t -> int -> int
 (** Reachable-set cardinality of a committed row (precomputed). *)
 
-val level : t -> int -> int
-(** BFS level recorded at commit. *)
-
 val to_state : t -> int -> State.t
 (** Unpack a committed row (allocating) — the bridge to the
-    [State.t]-typed prune/redundancy hooks and checkpoint format. *)
+    [State.t]-typed prune/redundancy hooks and frontier logs. *)
 
-val iter_masks : t -> int -> (int -> unit) -> unit
-(** Iterate the reachable masks of a committed row in increasing order
-    without unpacking it. *)
+(** {1 Row codec}
+
+    How rows leave an arena. A {e row block} (version 1) is a 12-byte
+    header — version, [n], row count, each a little-endian u32 — then
+    each row's [max 1 (2^n / 64)] words as little-endian int64s, bit
+    [m mod 64] of word [m / 64] set iff mask [m] is reachable. *)
+
+val encode_rows : t -> Buffer.t -> int list -> unit
+(** Append the block of the given committed rows, in list order.
+    @raise Invalid_argument if an index is not committed. *)
+
+val decode_rows :
+  t -> string -> pos:int -> (int -> unit) -> (int, string) result
+(** [decode_rows t s ~pos f] stages each row [k] of the block at [pos]
+    in turn and calls [f k] (which typically {!commit}s it); returns the
+    offset past the block. [Error], never an exception, for a wrong
+    version or [n] or a short block (before staging anything), or a row
+    with masks at [2^n] or above (stopping there). *)
 
 val subsumes : t -> int -> int -> bool
 (** [subsumes t a b] is boolean-identical to

@@ -53,39 +53,52 @@ let c_redundant = Metrics.counter "analysis.redundant_moves"
 let c_ckpt_failures = Metrics.counter "checkpoint.failures"
 let c_resumes = Metrics.counter "checkpoint.resumes"
 
+(* --- the frontier format: little-endian int64 fields around {!Arena}
+   row blocks; reading raises [Malformed] on anything short, overlong or
+   out of range --- *)
+
+exception Malformed of string
+
+let add_int buf v = Buffer.add_int64_le buf (Int64.of_int v)
+
+type reader = { s : string; mutable pos : int }
+
+let below r what bound =
+  if r.pos > String.length r.s - 8 then raise (Malformed "truncated");
+  let v = Int64.to_int (String.get_int64_le r.s r.pos) in
+  r.pos <- r.pos + 8;
+  if v < 0 || v >= bound then
+    raise (Malformed (Printf.sprintf "%s %d not in [0, %d)" what v bound));
+  v
+
+(* [count] fields, by default as many as a leading count says, in order *)
+let ints r what ?(count = below r "count" max_int) bound =
+  List.init count (fun _ -> below r what bound)
+
+let read_rows r arena f =
+  match Arena.decode_rows arena r.s ~pos:r.pos f with
+  | Ok p -> r.pos <- p
+  | Error e -> raise (Malformed e)
+
 (* --- the per-entry step --- *)
 
-type 'm expansion = {
-  found : 'm list option;
-  children : (State.t * 'm list) list;
-  pruned : int;
-  redundant : int;
-  live : int;
-}
+type tally = { found : int option; pruned : int; redundant : int; live : int }
 
-(* Expand committed row [pidx], reached by the reversed prefix [pre],
-   by every move the redundancy hook keeps, in move order. [charge
-   live] is asked before any move is applied; [false] (the budget
-   tripped) abandons the entry with [None], its redundancy tally
-   unreported. Each child that is neither sorted nor pruned is handed
-   to [emit m] while it sits in the staging row. A sorted child ends
-   the entry: later moves are never applied. *)
-let expand_row sys arena ~level ~max_depth ~moves ~charge ~emit (pidx, pre) =
+(* Expand committed row [pidx] by every move of [moves] (the level's
+   moves, indexed as in [sys.moves_at]) the redundancy hook keeps, in
+   move order. [charge live] is asked before any move is applied;
+   [false] (the budget tripped) abandons the entry with [None], its
+   redundancy tally unreported. Each child that is neither sorted nor
+   pruned is handed to [emit k], [k] its move's index, while it sits
+   in the staging row. A sorted child ends the entry: later moves are
+   never applied. *)
+let expand_row sys arena ~level ~max_depth ~moves ~charge ~emit pidx =
   let is_red =
     if sys.redundant_of == no_redundant then fun _ -> false
     else sys.redundant_of ~level (Arena.to_state arena pidx)
   in
-  let redundant = ref 0 in
-  let live =
-    List.filter
-      (fun m ->
-        if is_red m then begin
-          incr redundant;
-          false
-        end
-        else true)
-      moves
-  in
+  let all = List.init (Array.length moves) Fun.id in
+  let live = List.filter (fun k -> not (is_red moves.(k))) all in
   let nlive = List.length live in
   if not (charge nlive) then None
   else begin
@@ -93,9 +106,9 @@ let expand_row sys arena ~level ~max_depth ~moves ~charge ~emit (pidx, pre) =
     let pruned = ref 0 in
     let rec go = function
       | [] -> None
-      | m :: rest ->
-          Arena.stage_child arena ~parent:pidx (sys.stage m);
-          if Arena.staged_is_sorted arena then Some (m :: pre)
+      | k :: rest ->
+          Arena.stage_child arena ~parent:pidx (sys.stage moves.(k));
+          if Arena.staged_is_sorted arena then Some k
           else begin
             (* children of the last level are only tested for
                sortedness: nothing would expand them *)
@@ -104,180 +117,200 @@ let expand_row sys arena ~level ~max_depth ~moves ~charge ~emit (pidx, pre) =
                 sys.prune != no_prune
                 && sys.prune ~level ~remaining (Arena.staged_state arena)
               then incr pruned
-              else emit m;
+              else emit k;
             go rest
           end
     in
     let found = go live in
-    Some
-      { found; children = []; pruned = !pruned; redundant = !redundant; live = nlive }
+    let redundant = Array.length moves - nlive in
+    Some { found; pruned = !pruned; redundant; live = nlive }
   end
 
-let commit_state arena st =
-  Arena.stage_state arena st;
-  match Arena.commit arena ~level:0 with `Fresh i | `Dup i -> i
+let commit_staged arena = match Arena.commit arena with `Fresh i | `Dup i -> i
 
-let expand_entries sys ~max_depth ~level entries =
+(* A shard unit: the level, then the slice's rows as one block. *)
+let encode_unit arena ~level rows =
+  let buf = Buffer.create 4096 in
+  add_int buf level;
+  Arena.encode_rows arena buf rows;
+  Buffer.contents buf
+
+(* A result holds per entry: pruned, redundant, live, 1 + the sorted
+   child's move index (0 for none), the surviving children's move
+   indices (count first), then their rows as one block. *)
+let expand_entries sys ~max_depth payload =
   let arena = Arena.create ~with_sigs:false ~n:sys.n () in
-  let moves = sys.moves_at ~level in
-  let rec go acc = function
-    | [] -> List.rev acc
-    | (st, pre) :: rest -> (
-        let children = ref [] in
-        let emit m = children := (Arena.staged_state arena, m :: pre) :: !children in
+  let r = { s = payload; pos = 0 } and parents = ref [] in
+  let level = below r "level" max_int in
+  read_rows r arena (fun _ -> parents := commit_staged arena :: !parents);
+  if r.pos < String.length r.s then raise (Malformed "trailing bytes");
+  let moves = Array.of_list (sys.moves_at ~level) in
+  let buf = Buffer.create 4096 in
+  let rec go = function
+    | [] -> ()
+    | pidx :: rest -> (
+        let kids = ref [] in
+        let emit k = kids := (k, commit_staged arena) :: !kids in
         match
           expand_row sys arena ~level ~max_depth ~moves
             ~charge:(fun _ -> true)
-            ~emit (commit_state arena st, pre)
+            ~emit pidx
         with
         | None -> assert false (* charge never refuses *)
-        | Some x ->
-            let x = { x with children = List.rev !children } in
-            if Option.is_none x.found then go (x :: acc) rest
-            else List.rev (x :: acc))
+        | Some t ->
+            let kids = List.rev !kids in
+            List.iter (add_int buf)
+              ([ t.pruned; t.redundant; t.live;
+                 Option.fold t.found ~none:0 ~some:succ; List.length kids ]
+              @ List.map fst kids);
+            Arena.encode_rows arena buf (List.map snd kids);
+            if t.found = None then go rest)
   in
-  go [] entries
+  go (List.rev !parents);
+  Buffer.contents buf
 
 (* --- checkpoint / resume --- *)
 
-(* -2: the snapshot gained [s_redundant] (the analysis-hook skip
-   counter); older snapshots deserialize into a different record
-   layout, so the kind is bumped and they are rejected as a whole —
-   rerunning is always sound, resuming into a wrong layout never is. *)
-let checkpoint_kind = "snlb-search-driver-2"
+(* -3: [encode_boundary]'s payload; -2 held boxed states and moves. Other
+   kinds are refused: rerunning is sound, an unknown layout never is. *)
+let checkpoint_kind = "snlb-search-driver-3"
 
-(* Everything run needs to continue from a level boundary exactly as
-   if it had never stopped: the frontier (with the move prefixes that
-   produced it), the cross-level equality and subsumption memories,
-   every counter, and the wall/CPU time already spent (so budgets and
-   reported stats cover the whole logical run, not just the last
-   incarnation). *)
-type 'm snapshot = {
-  s_level : int;  (* next level to expand (1-based) *)
-  s_frontier : (State.t * 'm list) list;
-  s_seen : (int array, unit) Hashtbl.t;
-  s_kept : (State.t * Subsume.fingerprint) list;
-  s_nodes : int;
-  s_pruned : int;
-  s_deduped : int;
-  s_subsumed : int;
-  s_redundant : int;
-  s_sizes : int list;  (* reversed frontier_sizes, as kept by the loop *)
-  s_elapsed : float;
-  s_elapsed_cpu : float;
-}
+(* The boundary before level L, all run needs to go on as if it never
+   stopped: seven counts (the five totals, then the wall and CPU ns
+   spent), the L - 1 frontier sizes, every committed row (one block),
+   the kept rows by ascending card (count first) and the frontier
+   (count first): per entry its row and L - 1 move indices, level 1
+   first. *)
+let encode_boundary arena counts sizes kept frontier =
+  let rows = List.init (Arena.length arena) Fun.id in
+  (* sized exactly: at n = 9 the rows alone are tens of MB *)
+  let ints = List.fold_left (fun a (_, p) -> a + 1 + List.length p) 9 frontier in
+  let ints = ints + List.length sizes + List.length kept in
+  let row_bytes = max 8 ((1 lsl Arena.n arena) / 8) in
+  let buf = Buffer.create ((8 * ints) + 12 + (List.length rows * row_bytes)) in
+  List.iter (add_int buf) (counts @ List.rev sizes);
+  Arena.encode_rows arena buf rows;
+  List.iter (add_int buf) (List.length kept :: kept);
+  add_int buf (List.length frontier);
+  List.iter
+    (fun (idx, pre) -> List.iter (add_int buf) (idx :: List.rev pre))
+    frontier;
+  Buffer.contents buf
 
-type resume_state = {
-  rs_tag : string;
-  rs_n : int;
-  rs_max_depth : int;
-  rs_dedup : string;
-  rs_level : int;
-  rs_payload : string;
-}
+type resume_state = Checkpoint.t
 
-let dedup_name = function Equal -> "equal" | Subsume -> "subsume"
+let meta (ck : resume_state) k =
+  Option.value (List.assoc_opt k ck.meta) ~default:"?"
 
-let meta_int meta key =
-  match List.assoc_opt key meta with
-  | None -> Error (Printf.sprintf "missing meta key %S" key)
-  | Some v -> (
-      match int_of_string_opt v with
-      | Some i -> Ok i
-      | None -> Error (Printf.sprintf "meta key %S is not an integer (%S)" key v))
+(* The meta a run writes, less the level: a snapshot is only trusted
+   when all of it matches the run it is resumed into. The completed
+   levels of a different max_depth were explored under a different
+   prune budget, a different dedup mode keeps a different frontier,
+   and a different move tag is a different search entirely. *)
+let compat_meta ~max_depth sys =
+  [ ("tag", sys.tag);
+    ("n", string_of_int sys.n);
+    ("max_depth", string_of_int max_depth);
+    ("dedup", match sys.dedup with Equal -> "equal" | Subsume -> "subsume") ]
 
 let resume ~path =
   match Checkpoint.load ~path with
   | Error _ as e -> e
-  | Ok (ck, source) -> (
+  | Ok (ck, source) ->
       (match source with
       | `Primary -> ()
       | `Backup reason ->
           Printf.eprintf
             "snlb: falling back to checkpoint backup %s (%s)\n%!"
             (Atomic_file.backup_path path) reason);
-      if ck.Checkpoint.kind <> checkpoint_kind then
-        Error
-          (Printf.sprintf "checkpoint %s holds a %S snapshot, not a search"
-             path ck.Checkpoint.kind)
+      if ck.Checkpoint.kind = checkpoint_kind then Ok ck
       else
-        let meta = ck.Checkpoint.meta in
-        let ( let* ) = Result.bind in
-        let* n = meta_int meta "n" in
-        let* max_depth = meta_int meta "max_depth" in
-        let* level = meta_int meta "level" in
-        let* tag =
-          match List.assoc_opt "tag" meta with
-          | Some t -> Ok t
-          | None -> Error "missing meta key \"tag\""
-        in
-        let* dedup =
-          match List.assoc_opt "dedup" meta with
-          | Some d -> Ok d
-          | None -> Error "missing meta key \"dedup\""
-        in
-        Ok
-          { rs_tag = tag;
-            rs_n = n;
-            rs_max_depth = max_depth;
-            rs_dedup = dedup;
-            rs_level = level;
-            rs_payload = ck.Checkpoint.payload })
+        Error
+          (Printf.sprintf "checkpoint %s holds a %S snapshot, not a %S one"
+             path ck.Checkpoint.kind checkpoint_kind)
 
-let describe rs =
-  Printf.sprintf "%s search, n=%d, max_depth=%d, next level %d" rs.rs_tag
-    rs.rs_n rs.rs_max_depth rs.rs_level
+let describe ck =
+  Printf.sprintf "%s search, n=%s, max_depth=%s, next level %s" (meta ck "tag")
+    (meta ck "n") (meta ck "max_depth") (meta ck "level")
 
-(* The snapshot is only trusted when every compatibility key matches
-   the run it is resumed into: the completed levels of a different
-   max_depth were explored under a different prune budget, a different
-   dedup mode keeps a different frontier, and a different move tag is
-   a different search entirely. On mismatch the run degrades to a
-   fresh start with a warning — resuming must never be less safe than
-   rerunning. *)
-let validate_resume ~max_depth sys rs =
-  if rs.rs_tag <> sys.tag then
-    Error (Printf.sprintf "move tag %S does not match this search (%S)" rs.rs_tag sys.tag)
-  else if rs.rs_n <> sys.n then
-    Error (Printf.sprintf "checkpoint is for n=%d, this search is n=%d" rs.rs_n sys.n)
-  else if rs.rs_max_depth <> max_depth then
-    Error
-      (Printf.sprintf "checkpoint max_depth=%d, this search max_depth=%d"
-         rs.rs_max_depth max_depth)
-  else if rs.rs_dedup <> dedup_name sys.dedup then
-    Error
-      (Printf.sprintf "checkpoint dedup=%s, this search dedup=%s" rs.rs_dedup
-         (dedup_name sys.dedup))
-  else Ok ()
+(* The snapshot's boundary, its rows committed into the empty [arena].
+   On [Error] (a key differs from this run's, or the payload does not
+   decode) the caller discards the arena and starts fresh. *)
+let restore ~max_depth sys arena ck =
+  let r = { s = ck.Checkpoint.payload; pos = 0 } in
+  let level = Option.value (int_of_string_opt (meta ck "level")) ~default:0 in
+  let differs (k, v) = meta ck k <> v in
+  match List.find_opt differs (compat_meta ~max_depth sys) with
+  | Some (k, v) ->
+      Error (Printf.sprintf "checkpoint %s=%s, this search %s" k (meta ck k) v)
+  | None -> (
+      try
+        if level < 1 || level > max_depth + 1 then raise (Malformed "level");
+        let counts = ints r "count" ~count:7 max_int in
+        let sizes = List.rev (ints r "size" ~count:(level - 1) max_int) in
+        read_rows r arena (fun _ ->
+            match Arena.commit arena with
+            | `Fresh _ -> ()
+            | `Dup _ -> raise (Malformed "duplicate row"));
+        let rows = Arena.length arena in
+        let kept = ints r "kept row" rows in
+        let moves_at j = List.length (sys.moves_at ~level:(j + 1)) in
+        let moves = List.init (level - 1) moves_at in
+        (* [List.rev_map] also reads left to right, and reverses the prefix *)
+        let entry _ =
+          let idx = below r "frontier row" rows in
+          (idx, List.rev_map (below r "move index") moves)
+        in
+        let frontier = List.init (below r "frontier count" (rows + 1)) entry in
+        if r.pos < String.length r.s then raise (Malformed "trailing bytes");
+        Ok (level, (counts, sizes, kept, frontier))
+      with Malformed e -> Error ("malformed payload: " ^ e))
+
+(* the cumulative counts a run reports per level and at the end *)
+let total_names = [ "nodes"; "pruned"; "deduped"; "subsumed"; "redundant" ]
 
 let run ?domains:_ ?engine:_ ?(budget = default_budget) ?(sink = Sink.null)
     ?on_level ?frontier_log ?cancel ?checkpoint ?resume:resume_from ?expand
     ~max_depth sys =
   if max_depth < 0 then invalid_arg "Driver.run: max_depth must be >= 0";
-  (* a validated snapshot, or None for a fresh start *)
-  let snap : 'm snapshot option =
+  (* The store: every state the search has seen is a row of one
+     {!Arena} (flat int64 rows + open addressing, no boxed keys), and
+     the subsumption representatives are arena indices kept sorted by
+     ascending cardinality: a rep can only subsume candidates of >= its
+     card (subsumption maps the reachable set injectively), so the scan
+     for a candidate cuts off at the first larger card. *)
+  let arena = Arena.create ~with_sigs:(sys.dedup = Subsume) ~n:sys.n () in
+  (* a validated boundary, its rows already committed in their original
+     order (so every index in it is valid), or a fresh start *)
+  let level, (counts, sizes, kept, frontier) =
+    let fresh () =
+      Arena.truncate arena 0;
+      Arena.stage_state arena sys.initial;
+      (1, (List.init 7 (fun _ -> 0), [], [], [ (commit_staged arena, []) ]))
+    in
     match resume_from with
-    | None -> None
+    | None -> fresh ()
     | Some rs -> (
-        match validate_resume ~max_depth sys rs with
-        | Ok () ->
+        match restore ~max_depth sys arena rs with
+        | Ok b ->
             Metrics.incr c_resumes;
-            Some (Marshal.from_string rs.rs_payload 0 : 'm snapshot)
+            b
         | Error why ->
             Printf.eprintf
               "snlb: ignoring incompatible checkpoint (%s); starting fresh\n%!"
               why;
-            None)
+            fresh ())
   in
-  let from_snap f default = match snap with Some s -> f s | None -> default in
-  let w0 = Clock.wall () -. from_snap (fun s -> s.s_elapsed) 0. in
-  let cpu0 = Clock.cpu () -. from_snap (fun s -> s.s_elapsed_cpu) 0. in
-  let nodes = ref (from_snap (fun s -> s.s_nodes) 0) in
-  let pruned_total = ref (from_snap (fun s -> s.s_pruned) 0) in
-  let deduped_total = ref (from_snap (fun s -> s.s_deduped) 0) in
-  let subsumed_total = ref (from_snap (fun s -> s.s_subsumed) 0) in
-  let redundant_total = ref (from_snap (fun s -> s.s_redundant) 0) in
-  let sizes = ref (from_snap (fun s -> s.s_sizes) []) in
+  (* the frontier: arena rows with their reversed move-index prefixes *)
+  let level = ref level and sizes = ref sizes and frontier = ref frontier in
+  let count i = ref (List.nth counts i) in
+  let nodes = count 0 and pruned_total = count 1 and deduped_total = count 2 in
+  let subsumed_total = count 3 and redundant_total = count 4 in
+  let w0 = Clock.wall () -. (float (List.nth counts 5) *. 1e-9) in
+  let cpu0 = Clock.cpu () -. (float (List.nth counts 6) *. 1e-9) in
+  let totals () =
+    [ !nodes; !pruned_total; !deduped_total; !subsumed_total; !redundant_total ]
+  in
   let over_budget = ref false in
   let interrupted = ref false in
   let cancelled () =
@@ -319,11 +352,8 @@ let run ?domains:_ ?engine:_ ?(budget = default_budget) ?(sink = Sink.null)
           Checkpoint.write ~path
             { Checkpoint.kind = checkpoint_kind;
               meta =
-                [ ("tag", sys.tag);
-                  ("n", string_of_int sys.n);
-                  ("max_depth", string_of_int max_depth);
-                  ("dedup", dedup_name sys.dedup);
-                  ("level", string_of_int boundary_level) ];
+                compat_meta ~max_depth sys
+                @ [ ("level", string_of_int boundary_level) ];
               payload }
         with
         | Ok () ->
@@ -334,13 +364,6 @@ let run ?domains:_ ?engine:_ ?(budget = default_budget) ?(sink = Sink.null)
             Printf.eprintf
               "snlb: checkpoint write failed (%s); search continues\n%!" e)
   in
-  (* The store: every state the search has seen is a row of one
-     {!Arena} (flat int64 rows + open addressing, no boxed keys), and
-     the subsumption representatives are arena indices kept sorted by
-     ascending cardinality: a rep can only subsume candidates of >= its
-     card (subsumption maps the reachable set injectively), so the scan
-     for a candidate cuts off at the first larger card. *)
-  let arena = Arena.create ~with_sigs:(sys.dedup = Subsume) ~n:sys.n () in
   let kept_idx = ref (Array.make 256 0) in
   let kept_card = ref (Array.make 256 0) in
   let kept_len = ref 0 in
@@ -376,69 +399,27 @@ let run ?domains:_ ?engine:_ ?(budget = default_budget) ?(sink = Sink.null)
     done;
     !hit
   in
-  (* the frontier: arena indices with their reversed move prefixes *)
-  let frontier = ref [] in
-  (match snap with
-  | None -> frontier := [ (commit_state arena sys.initial, []) ]
-  | Some s ->
-      (* rehydrate the snapshot: every seen state becomes a committed
-         row, then kept and frontier resolve to their indices by dedup *)
-      Hashtbl.iter
-        (fun key () -> ignore (commit_state arena (State.of_key ~n:sys.n key)))
-        s.s_seen;
-      List.iter
-        (fun (st, _fp) -> kept_insert (commit_state arena st))
-        (List.rev s.s_kept);
-      frontier := List.map (fun (st, pre) -> (commit_state arena st, pre)) s.s_frontier);
+  (* saved in array order, so re-inserting rebuilds the array *)
+  List.iter kept_insert kept;
   let result = ref None in
-  let level = ref (from_snap (fun s -> s.s_level) 1) in
   (* last completed boundary's row count: an interrupted level's
      commits are truncated back to it before the final flush *)
   let boundary_len = ref (Arena.length arena) in
-  (* Capture the boundary NOW but serialize lazily, at flush time: the
+  (* Capture the boundary NOW but encode lazily, at flush time: the
      scalars are pinned eagerly, the structures (arena rows, kept,
      frontier) only change at the next boundary — which installs a
      fresh thunk first. Skipped boundaries therefore cost a closure,
-     not a Marshal of the whole search state. The payload keeps the
-     boxed [State.t] layout of [checkpoint_kind]. *)
+     not an encoding of the whole search state. *)
   let snapshot_payload () =
-    let s_level = !level
-    and s_nodes = !nodes
-    and s_pruned = !pruned_total
-    and s_deduped = !deduped_total
-    and s_subsumed = !subsumed_total
-    and s_redundant = !redundant_total
-    and s_sizes = !sizes
-    and s_elapsed = Clock.wall () -. w0
-    and s_elapsed_cpu = Clock.cpu () -. cpu0 in
+    let ns x = Float.to_int (x *. 1e9) in
+    let lvl = !level and sizes = !sizes in
+    let spent = [ ns (Clock.wall () -. w0); ns (Clock.cpu () -. cpu0) ] in
+    let counts = totals () @ spent in
     fun () ->
-      let seen = Hashtbl.create (2 * Arena.length arena) in
-      for idx = 0 to Arena.length arena - 1 do
-        Hashtbl.replace seen (State.key (Arena.to_state arena idx)) ()
-      done;
-      let s_kept =
-        List.init !kept_len (fun k ->
-            let st = Arena.to_state arena (!kept_idx).(k) in
-            (st, Subsume.fingerprint st))
-      in
-      let s_frontier =
-        List.map (fun (idx, pre) -> (Arena.to_state arena idx, pre)) !frontier
-      in
-      ( Marshal.to_string
-          { s_level;
-            s_frontier;
-            s_seen = seen;
-            s_kept;
-            s_nodes;
-            s_pruned;
-            s_deduped;
-            s_subsumed;
-            s_redundant;
-            s_sizes;
-            s_elapsed;
-            s_elapsed_cpu }
-          [],
-        s_level )
+      ( encode_boundary arena counts sizes
+          (List.init !kept_len (fun k -> (!kept_idx).(k)))
+          !frontier,
+        lvl )
   in
   (* nodes are charged per entry, before its moves are applied *)
   let charge live =
@@ -461,61 +442,80 @@ let run ?domains:_ ?engine:_ ?(budget = default_budget) ?(sink = Sink.null)
      surviving frontier width, and sets [result] when the level ends
      the search instead. *)
   let step lvl =
+    let moves = Array.of_list (sys.moves_at ~level:lvl) in
     let candidates = ref [] in
     (* equality-dup hits are folded in only when the level completes *)
     let level_deduped = ref 0 in
     let commit pre =
-      match Arena.commit arena ~level:lvl with
+      match Arena.commit arena with
       | `Fresh idx -> candidates := (idx, pre) :: !candidates
       | `Dup _ -> incr level_deduped
     in
     let found = ref None in
-    let account x =
-      redundant_total := !redundant_total + x.redundant;
-      pruned_total := !pruned_total + x.pruned;
-      match x.found with
-      | Some rev_moves ->
-          found := Some rev_moves;
+    let account pre t =
+      redundant_total := !redundant_total + t.redundant;
+      pruned_total := !pruned_total + t.pruned;
+      match t.found with
+      | Some k ->
+          found := Some (k :: pre);
           raise Exit
-      | None ->
-          List.iter
-            (fun (st, pre) ->
-              Arena.stage_state arena st;
-              commit pre)
-            x.children
+      | None -> ()
     in
     (try
        match expand with
        | None ->
-           let moves = sys.moves_at ~level:lvl in
            List.iter
-             (fun ((_, pre) as entry) ->
+             (fun (pidx, pre) ->
                if cancelled () then raise Exit;
                match
                  expand_row sys arena ~level:lvl ~max_depth ~moves ~charge
-                   ~emit:(fun m -> commit (m :: pre))
-                   entry
+                   ~emit:(fun k -> commit (k :: pre))
+                   pidx
                with
                | None -> raise Exit
-               | Some x -> account x)
+               | Some t -> account pre t)
              !frontier
        | Some f ->
-           (* expanded elsewhere; replayed here in global entry order *)
-           List.iter
-             (fun x ->
-               if cancelled () || not (charge x.live) then raise Exit;
-               account x)
-             (f ~level:lvl
-                (List.map
-                   (fun (idx, pre) -> (Arena.to_state arena idx, pre))
-                   !frontier))
+           (* expanded elsewhere: the results are replayed entry by
+              entry, in global entry order, each child's prefix built
+              from its entry's *)
+           let nmoves = Array.length moves in
+           let rec replay r = function
+             | entries when r.pos = String.length r.s -> entries
+             | [] -> raise (Malformed "more entries than the frontier")
+             | (_, pre) :: entries ->
+                 let pruned = below r "tally" max_int in
+                 let redundant = below r "tally" max_int in
+                 let live = below r "tally" max_int in
+                 let found = below r "sorted move" (nmoves + 1) - 1 in
+                 let found = if found < 0 then None else Some found in
+                 let kids = Array.of_list (ints r "move index" nmoves) in
+                 if cancelled () || not (charge live) then raise Exit;
+                 account pre { found; pruned; redundant; live };
+                 let seen = ref 0 in
+                 read_rows r arena (fun k ->
+                     if k < Array.length kids then commit (kids.(k) :: pre);
+                     seen := k + 1);
+                 if !seen <> Array.length kids then
+                   raise (Malformed "rows and moves differ");
+                 replay r entries
+           in
+           f ~level:lvl ~unit_of:(encode_unit arena ~level:lvl)
+             (List.map fst !frontier)
+           |> List.fold_left (fun es s -> replay { s; pos = 0 } es) !frontier
+           |> ignore
      with Exit -> ());
     match !found with
     | Some rev_moves ->
         result :=
           Some
             (Sorted
-               { depth = lvl; moves = List.rev rev_moves; stats = mk_stats (lvl - 1) });
+               { depth = lvl;
+                 moves =
+                   List.mapi
+                     (fun i k -> List.nth (sys.moves_at ~level:(i + 1)) k)
+                     (List.rev rev_moves);
+                 stats = mk_stats (lvl - 1) });
         0
     | None when !over_budget ->
         result := Some (Inconclusive (mk_stats (lvl - 1)));
@@ -565,11 +565,7 @@ let run ?domains:_ ?engine:_ ?(budget = default_budget) ?(sink = Sink.null)
     else begin
       while !result = None && !level <= max_depth && !frontier <> [] do
         let lvl = !level in
-        let nodes0 = !nodes
-        and pruned0 = !pruned_total
-        and deduped0 = !deduped_total
-        and subsumed0 = !subsumed_total
-        and redundant0 = !redundant_total in
+        let before = totals () in
         (* nested under the "search" span: the event path is
            "search/level" *)
         Span.run ~sink ~name:"level" @@ fun sp ->
@@ -577,11 +573,10 @@ let run ?domains:_ ?engine:_ ?(budget = default_budget) ?(sink = Sink.null)
         (* per-level deltas: summing these fields over all level events
            reproduces the run's final stats exactly *)
         Span.add sp "level" (Sink.Int lvl);
-        Span.add sp "nodes" (Sink.Int (!nodes - nodes0));
-        Span.add sp "pruned" (Sink.Int (!pruned_total - pruned0));
-        Span.add sp "deduped" (Sink.Int (!deduped_total - deduped0));
-        Span.add sp "subsumed" (Sink.Int (!subsumed_total - subsumed0));
-        Span.add sp "redundant" (Sink.Int (!redundant_total - redundant0));
+        List.iter2
+          (fun k (a, b) -> Span.add sp k (Sink.Int (b - a)))
+          total_names
+          (List.combine before (totals ()));
         Span.add sp "frontier" (Sink.Int surviving);
         if !result = None then begin
           (match on_level with
@@ -628,20 +623,15 @@ let run ?domains:_ ?engine:_ ?(budget = default_budget) ?(sink = Sink.null)
     | Inconclusive stats -> (stats, "inconclusive")
     | Interrupted stats -> (stats, "interrupted")
   in
-  Metrics.add c_nodes s.nodes;
-  Metrics.add c_pruned s.pruned;
-  Metrics.add c_deduped s.deduped;
-  Metrics.add c_subsumed s.subsumed;
-  Metrics.add c_redundant s.redundant;
-  Metrics.add c_levels s.completed_levels;
+  let totals = [ s.nodes; s.pruned; s.deduped; s.subsumed; s.redundant ] in
+  List.iter2 Metrics.add
+    [ c_nodes; c_pruned; c_deduped; c_subsumed; c_redundant; c_levels ]
+    (totals @ [ s.completed_levels ]);
   Span.add search_sp "outcome" (Sink.Str verdict);
-  Span.add search_sp "nodes" (Sink.Int s.nodes);
-  Span.add search_sp "pruned" (Sink.Int s.pruned);
-  Span.add search_sp "deduped" (Sink.Int s.deduped);
-  Span.add search_sp "subsumed" (Sink.Int s.subsumed);
-  Span.add search_sp "redundant" (Sink.Int s.redundant);
-  Span.add search_sp "peak_frontier" (Sink.Int s.peak_frontier);
-  Span.add search_sp "completed_levels" (Sink.Int s.completed_levels);
+  List.iter2
+    (fun k v -> Span.add search_sp k (Sink.Int v))
+    (total_names @ [ "peak_frontier"; "completed_levels" ])
+    (totals @ [ s.peak_frontier; s.completed_levels ]);
   outcome
 
 (* --- sorting-network instantiation --- *)
@@ -692,8 +682,8 @@ let network_system ?(restrict = true) ~n () =
     redundant_of;
     dedup = (if restrict then Subsume else Equal) }
 
-let optimal_depth ?domains:_ ?engine:_ ?budget ?sink ?on_level ?frontier_log
-    ?cancel ?checkpoint ?resume ?restrict ?max_depth ~n () =
+let optimal_depth ?budget ?sink ?on_level ?frontier_log ?cancel ?checkpoint
+    ?resume ?restrict ?max_depth ~n () =
   let max_depth = match max_depth with Some d -> d | None -> n in
   run ?budget ?sink ?on_level ?frontier_log ?cancel ?checkpoint ?resume
     ~max_depth

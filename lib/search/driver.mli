@@ -30,6 +30,10 @@
     {!Shard_search}, which expands slices with {!expand_entries} and
     hands the results back to {!run}.
 
+    A frontier entry is an {!Arena} row and its reversed move-index
+    prefix (indices into [sys.moves_at]): checkpoints and shard
+    transport carry just that, never an ['m] value or a boxed state.
+
     Observability: a run wrapped around an {!Obs.Sink} emits one
     ["span"] event per level (path ["search/level"]) whose [nodes] /
     [pruned] / [deduped] / [subsumed] fields are per-level deltas —
@@ -45,7 +49,7 @@
     [interval] seconds have passed since the last write — or since the
     start of the run, so the first write falls due one full interval
     in ([0.] = every boundary); boundaries skipped by the cadence
-    cost a closure, not a serialization, so checkpointing is near-free
+    cost a closure, not an encoding, so checkpointing is near-free
     between writes; a run interrupted by a {!Cancel} token, a signal
     handler tripping one, or an injected ["kill-level"] {!Fault}
     returns [Interrupted] after flushing the newest unwritten
@@ -54,9 +58,9 @@
     memory, counters and already-spent budget, so the eventual
     outcome, witness and cumulative node counts are exactly those of
     a never-interrupted run. An incompatible or stale snapshot (other
-    width, [max_depth], dedup mode or move tag) degrades to a fresh
-    run with a [stderr] warning — resuming is never less safe than
-    rerunning. *)
+    width, [max_depth], dedup mode or move tag) or one that fails to
+    decode degrades to a fresh run with a [stderr] warning — resuming
+    is never less safe than rerunning. *)
 
 type budget = { max_nodes : int; max_seconds : float option }
 (** [max_nodes] bounds move applications (edges explored);
@@ -134,27 +138,15 @@ type engine = [ `Arena ]
 (** The only engine. Kept so callers that still name it (the
     benchmark harness) build unchanged; {!run} ignores it. *)
 
-type 'm expansion = {
-  found : 'm list option;
-      (** the reversed move prefix of the entry's first sorted child;
-          the entry's later moves were not applied *)
-  children : (State.t * 'm list) list;
-      (** the children that are neither sorted nor pruned, in move
-          order, each with its reversed move prefix *)
-  pruned : int;
-  redundant : int;  (** moves the [redundant_of] hook skipped *)
-  live : int;  (** moves applied: what the entry costs the node budget *)
-}
-(** One frontier entry expanded by one level's moves. Plain data, so it
-    can cross a process boundary. *)
+exception Malformed of string
+(** A shard unit or result that fails to decode. *)
 
-val expand_entries :
-  'm system -> max_depth:int -> level:int -> (State.t * 'm list) list ->
-  'm expansion list
-(** [expand_entries sys ~max_depth ~level entries] expands each entry
-    (a state with its reversed move prefix) exactly as {!run} does at
-    [level], on a private arena, without budget checks, and stops after
-    the first entry with a sorted child. *)
+val expand_entries : 'm system -> max_depth:int -> string -> string
+(** [expand_entries sys ~max_depth unit] expands a shard unit (a level
+    and frontier rows) exactly as {!run} does, on a private arena,
+    without budget checks, stopping after the first entry with a sorted
+    child: per entry its tallies and its children as move indices and
+    rows, for {!run} to replay. @raise Malformed if [unit] is. *)
 
 type resume_state
 (** A validated checkpoint snapshot, ready to hand to {!run}. *)
@@ -179,7 +171,8 @@ val run :
   ?cancel:Cancel.t ->
   ?checkpoint:string * float ->
   ?resume:resume_state ->
-  ?expand:(level:int -> (State.t * 'm list) list -> 'm expansion list) ->
+  ?expand:
+    (level:int -> unit_of:(int list -> string) -> int list -> string list) ->
   max_depth:int ->
   'm system ->
   'm outcome
@@ -197,12 +190,13 @@ val run :
     [interval] seconds (see the module preamble); [resume] continues
     from such a snapshot.
 
-    [expand ~level entries], when given, replaces the in-process
+    [expand ~level ~unit_of rows], when given, replaces the in-process
     expansion of each level: it must return the {!expand_entries} of
-    [entries] (or a prefix of them ending at the first entry with a
-    sorted child), or [[]] once [cancel] has tripped. The run then
-    charges the budget, counts, dedups and subsumes the returned
-    children in entry order, exactly as for an in-process level. *)
+    the units [unit_of slice] of consecutive slices of the frontier
+    [rows] (ending at the first with a sorted child), or [[]] once
+    [cancel] has tripped. The run then charges the budget, counts,
+    dedups and subsumes the children in entry order, exactly as for an
+    in-process level. @raise Malformed if a result is. *)
 
 (** {1 Sorting-network instantiation} *)
 
@@ -224,7 +218,7 @@ val network_system : ?restrict:bool -> n:int -> unit -> layer system
     @raise Invalid_argument unless [2 <= n <= 10]. *)
 
 val optimal_depth :
-  ?domains:int -> ?engine:engine -> ?budget:budget -> ?sink:Sink.t ->
+  ?budget:budget -> ?sink:Sink.t ->
   ?on_level:(level:int -> frontier:int -> stats -> unit) ->
   ?frontier_log:(level:int -> State.t list -> unit) ->
   ?cancel:Cancel.t -> ?checkpoint:string * float -> ?resume:resume_state ->

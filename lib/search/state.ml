@@ -86,12 +86,6 @@ let subset a b =
 
 let key st = st.words
 
-let of_key ~n words =
-  check_n n;
-  if Array.length words <> word_count n then
-    invalid_arg "Search.State.of_key: wrong word count for this n";
-  { n; words = Array.copy words }
-
 let map_masks st f =
   let words = Array.make (Array.length st.words) 0 in
   iter_masks

@@ -52,12 +52,6 @@ val key : t -> int array
     the array as frozen; two states on the same [n] are [equal] iff
     their keys are structurally equal. *)
 
-val of_key : n:int -> int array -> t
-(** Inverse of {!key} (the array is copied): rebuilds the state a key
-    was taken from — how checkpointed dedup memory is rehydrated into
-    an {!Arena}.
-    @raise Invalid_argument if the word count is wrong for [n]. *)
-
 val apply_comparators : t -> (int * int) list -> t
 (** [apply_comparators st layer] pushes every reachable vector through
     one parallel layer of {e ascending} comparators: each pair [(i, j)]

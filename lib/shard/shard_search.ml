@@ -1,8 +1,3 @@
-type 'm unit_payload = {
-  u_level : int;
-  u_entries : (State.t * 'm list) list;
-}
-
 let kind = "snlb-shard-search"
 
 let c_shard_levels = Metrics.counter "shard.search.levels"
@@ -28,30 +23,18 @@ let run ?(sink = Sink.null) ?cancel ?budget ?config ~shards ~dir ~max_depth sys 
       Shard.workers = shards;
       dir }
   in
-  let worker ~id:_ ~payload =
-    let u : 'm unit_payload = Marshal.from_string payload 0 in
-    Marshal.to_string
-      (Driver.expand_entries sys ~max_depth ~level:u.u_level u.u_entries
-        : 'm Driver.expansion list)
-      []
-  in
+  let worker ~id:_ ~payload = Driver.expand_entries sys ~max_depth payload in
   (* one level's frontier, fanned out as slices; the results come back
      in slice order, which is global entry order *)
-  let expand ~level entries =
+  let expand ~level ~unit_of rows =
     Metrics.incr c_shard_levels;
     let units =
       List.mapi
-        (fun i entries ->
-          ( Printf.sprintf "l%d-s%d" level i,
-            Marshal.to_string { u_level = level; u_entries = entries } [] ))
-        (slice shards entries)
+        (fun i rows -> (Printf.sprintf "l%d-s%d" level i, unit_of rows))
+        (slice shards rows)
     in
     match Shard.run ~sink ?cancel config ~kind ~units ~worker with
-    | Shard.Completed results ->
-        List.concat_map
-          (fun (_, payload) ->
-            (Marshal.from_string payload 0 : 'm Driver.expansion list))
-          results
+    | Shard.Completed results -> List.map snd results
     (* only a tripped [cancel] stops the supervisor, and the driver
        polls the same token, so it reports the level as interrupted *)
     | Shard.Cancelled -> []
@@ -65,3 +48,4 @@ let run ?(sink = Sink.null) ?cancel ?budget ?config ~shards ~dir ~max_depth sys 
   match Driver.run ~sink ?cancel ?budget ~expand ~max_depth sys with
   | outcome -> Ok outcome
   | exception Quarantined e -> Error e
+  | exception Driver.Malformed e -> Error ("shard search: bad result: " ^ e)

@@ -43,8 +43,8 @@ val run :
     over [shards] worker processes ([config] defaults to
     [Shard.default_config ~dir] with [workers = shards]; a [config]
     argument's [workers] field is overridden by [shards], its [dir] by
-    [dir]). The move type ['m] must be marshal-safe (plain data, as
-    all in-tree systems are) — slices cross the process boundary as
-    {!Checkpoint} envelopes. [Error] when the supervisor quarantines a
-    poison slice after [config.max_attempts] failed attempts.
+    [dir]). Slices and results cross the process boundary as
+    {!Checkpoint} envelopes holding arena rows and move indices, so
+    any move type works. [Error] when the supervisor quarantines a
+    poison slice after [config.max_attempts] failed attempts or a bad result.
     @raise Invalid_argument unless [shards >= 1]. *)

@@ -318,9 +318,49 @@ let stats_agree what (a : Driver.stats) (b : Driver.stats) =
     b.Driver.completed_levels
 
 let test_driver_kill_resume_equivalence () =
-  (* n=5 free-layer search: 5 levels, killed at every boundary, so the
-     run takes one level per incarnation; the final outcome must be
-     byte-identical to an uninterrupted run *)
+  (* free-layer searches killed at every boundary, so each run takes
+     one level per incarnation; the final outcome must be identical to
+     an uninterrupted run. Both dedup modes go through the checkpoint
+     format: subsumption (n=5, n=7) and the equality-only reference
+     system (n=5) *)
+  List.iter
+    (fun (n, restrict) ->
+      let what = Printf.sprintf "n=%d restrict=%b" n restrict in
+      let fresh =
+        match Driver.optimal_depth ~restrict ~n () with
+        | Driver.Sorted { depth; moves; stats } -> (depth, moves, stats)
+        | _ -> Alcotest.fail (what ^ " must certify")
+      in
+      with_temp @@ fun path ->
+      let interrupted = ref 0 in
+      let step ~resume () =
+        let outcome =
+          with_fault "kill-level" @@ fun () ->
+          Driver.optimal_depth ?resume ~checkpoint:(path, 0.) ~restrict ~n ()
+        in
+        match outcome with
+        | Driver.Sorted { depth; moves; stats } -> `Done (depth, moves, stats)
+        | Driver.Interrupted _ -> (
+            incr interrupted;
+            match Driver.resume ~path with
+            | Ok rs -> `Again rs
+            | Error e -> Alcotest.fail ("resume failed: " ^ e))
+        | _ -> Alcotest.fail "unexpected outcome under kill-level"
+      in
+      let fresh_depth, fresh_moves, fresh_stats = fresh in
+      let depth, moves, stats = resume_until_done ~bound:10 ~step None in
+      check_bool (what ^ ": killed at least twice") true (!interrupted >= 2);
+      check_int (what ^ ": same depth") fresh_depth depth;
+      check_bool (what ^ ": same witness") true (fresh_moves = moves);
+      stats_agree what fresh_stats stats)
+    [ (5, true); (7, true); (5, false) ]
+
+(* A snlb-search-driver-3 payload, taken apart by offset: for the
+   boundary before [level], 7 scalar fields and [level - 1] frontier
+   sizes (8 bytes each), then the row block (12-byte header, 8 bytes
+   per row at n <= 6), the kept count and indices, the frontier count
+   and per entry a row index and [level - 1] move indices. *)
+let test_driver_resume_rejects_damaged_payload () =
   let n = 5 in
   let fresh =
     match Driver.optimal_depth ~n () with
@@ -328,27 +368,73 @@ let test_driver_kill_resume_equivalence () =
     | _ -> Alcotest.fail "n=5 must certify"
   in
   with_temp @@ fun path ->
-  let interrupted = ref 0 in
-  let step ~resume () =
-    let outcome =
-      with_fault "kill-level" @@ fun () ->
-      Driver.optimal_depth ?resume ~checkpoint:(path, 0.) ~n ()
-    in
-    match outcome with
-    | Driver.Sorted { depth; moves; stats } -> `Done (depth, moves, stats)
-    | Driver.Interrupted _ -> (
-        incr interrupted;
-        match Driver.resume ~path with
-        | Ok rs -> `Again rs
-        | Error e -> Alcotest.fail ("resume failed: " ^ e))
-    | _ -> Alcotest.fail "unexpected outcome under kill-level"
+  (* the boundary before level 2 *)
+  (match
+     with_fault "kill-level" @@ fun () ->
+     Driver.optimal_depth ~checkpoint:(path, 0.) ~n ()
+   with
+  | Driver.Interrupted _ -> ()
+  | _ -> Alcotest.fail "kill-level must interrupt");
+  let ck =
+    match Checkpoint.read ~path with
+    | Ok ck -> ck
+    | Error e -> Alcotest.fail e
   in
+  check_string "kind" "snlb-search-driver-3" ck.Checkpoint.kind;
+  let level = 2 in
+  let p = ck.Checkpoint.payload in
+  let rows_at = 8 * (7 + level - 1) in
+  let nrows = Int32.to_int (String.get_int32_le p (rows_at + 8)) in
+  let kept_at = rows_at + 12 + (8 * nrows) in
+  let nkept = Int64.to_int (String.get_int64_le p kept_at) in
+  let frontier_at = kept_at + 8 + (8 * nkept) in
+  check_bool "rows, a representative and a frontier entry" true
+    (nrows >= 2 && nkept >= 1
+    && Int64.to_int (String.get_int64_le p frontier_at) >= 1);
+  let set o v =
+    let b = Bytes.of_string p in
+    Bytes.set_int64_le b o (Int64.of_int v);
+    Bytes.to_string b
+  in
+  let level1_moves =
+    List.length ((Driver.network_system ~n ()).Driver.moves_at ~level:1)
+  in
+  let resumes = Metrics.counter "checkpoint.resumes" in
   let fresh_depth, fresh_moves, fresh_stats = fresh in
-  let depth, moves, stats = resume_until_done ~bound:10 ~step None in
-  check_bool "killed at least twice" true (!interrupted >= 2);
-  check_int "same depth" fresh_depth depth;
-  check_bool "same witness" true (fresh_moves = moves);
-  stats_agree "driver" fresh_stats stats
+  let resume_with what payload ~resumed =
+    (match Checkpoint.write ~path { ck with Checkpoint.payload } with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail e);
+    match Driver.resume ~path with
+    | Error e -> Alcotest.fail e
+    | Ok rs -> (
+        let before = Metrics.value resumes in
+        match Driver.optimal_depth ~resume:rs ~n () with
+        | Driver.Sorted { depth; moves; stats } ->
+            check_int (what ^ ": resumed, not restarted") (Bool.to_int resumed)
+              (Metrics.value resumes - before);
+            check_int (what ^ ": same depth") fresh_depth depth;
+            check_bool (what ^ ": same witness") true (fresh_moves = moves);
+            stats_agree what fresh_stats stats
+        | _ -> Alcotest.fail (what ^ ": must certify"))
+  in
+  resume_with "intact payload" p ~resumed:true;
+  resume_with "truncated row block"
+    (String.sub p 0 (rows_at + 12 + (8 * (nrows - 1)) + 4))
+    ~resumed:false;
+  resume_with "kept index out of range" (set (kept_at + 8) nrows) ~resumed:false;
+  resume_with "move index past the level's moves"
+    (set (frontier_at + 16) level1_moves)
+    ~resumed:false;
+  (* the previous, Marshal-based kind is refused before its payload is
+     read; the CLI then starts fresh *)
+  (match
+     Checkpoint.write ~path { ck with Checkpoint.kind = "snlb-search-driver-2" }
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  check_bool "driver-2 snapshot refused" true
+    (Result.is_error (Driver.resume ~path))
 
 let test_driver_resume_describe_and_mismatch () =
   with_temp @@ fun path ->
@@ -532,4 +618,6 @@ let () =
           Alcotest.test_case "failing writes don't fail the run" `Quick
             test_search_survives_failing_checkpoint_writes;
           Alcotest.test_case "torn checkpoint falls back to backup" `Quick
-            test_search_recovers_from_torn_checkpoint ] ) ]
+            test_search_recovers_from_torn_checkpoint;
+          Alcotest.test_case "damaged payload starts fresh" `Quick
+            test_driver_resume_rejects_damaged_payload ] ) ]

@@ -319,10 +319,10 @@ let test_wall_clock_budget () =
      domains) tripped the 4-domain run ~4x early, well under the
      lower bound asserted here. *)
   let budget = { Driver.max_nodes = 1_000_000_000; max_seconds = Some 0.3 } in
-  let run domains =
+  let run _domains =
     let t0 = Clock.wall () in
     let outcome =
-      Driver.optimal_depth ~domains ~budget ~restrict:false ~n:7 ()
+      Driver.optimal_depth ~budget ~restrict:false ~n:7 ()
     in
     let wall = Clock.wall () -. t0 in
     match outcome with
@@ -351,7 +351,7 @@ let test_wall_clock_budget () =
 
 let test_multi_domain_agreement () =
   (* same optimum through the parallel expansion / filter path *)
-  match Driver.optimal_depth ~domains:2 ~n:5 () with
+  match Driver.optimal_depth ~n:5 () with
   | Driver.Sorted { depth; moves; _ } ->
       check_int "n=5 at 2 domains" 5 depth;
       check_bool "witness verifies" true (Driver.verify_witness ~n:5 moves)
@@ -488,7 +488,7 @@ let random_layer rng n =
 let random_frontier rng arena n steps =
   let states = ref [] in
   Arena.stage_state arena (State.initial ~n);
-  (match Arena.commit arena ~level:0 with
+  (match Arena.commit arena with
   | `Fresh idx -> states := [ (State.initial ~n, idx) ]
   | `Dup _ -> Alcotest.fail "initial state cannot be a duplicate");
   let ok = ref true in
@@ -500,7 +500,7 @@ let random_frontier rng arena n steps =
     let st' = State.apply_comparators st layer in
     Arena.stage_child arena ~parent:idx (Arena.comparators layer);
     ok := !ok && Arena.staged_is_sorted arena = State.is_sorted st';
-    match Arena.commit arena ~level:1 with
+    match Arena.commit arena with
     | `Fresh idx' ->
         ok := !ok && State.equal (Arena.to_state arena idx') st';
         states := (st', idx') :: !states
@@ -519,7 +519,7 @@ let prop_arena_dedup_agrees =
       let states = ref [ State.initial ~n ] in
       Hashtbl.replace seen (State.key (State.initial ~n)) (State.initial ~n);
       Arena.stage_state arena (State.initial ~n);
-      let ok = ref (Arena.commit arena ~level:0 = `Fresh 0) in
+      let ok = ref (Arena.commit arena = `Fresh 0) in
       for _ = 1 to 150 do
         let st =
           List.nth !states (Xoshiro.int rng ~bound:(List.length !states))
@@ -528,7 +528,7 @@ let prop_arena_dedup_agrees =
         let key = State.key st' in
         let fresh_ref = not (Hashtbl.mem seen key) in
         Arena.stage_state arena st';
-        (match Arena.commit arena ~level:1 with
+        (match Arena.commit arena with
         | `Fresh idx ->
             ok :=
               !ok && fresh_ref && State.equal (Arena.to_state arena idx) st';
@@ -567,7 +567,7 @@ let random_nonidentity_perm rng n =
 
 let commit_any arena st =
   Arena.stage_state arena st;
-  match Arena.commit arena ~level:1 with `Fresh i | `Dup i -> i
+  match Arena.commit arena with `Fresh i | `Dup i -> i
 
 (* n = 9 is the widest one-word signature, n = 10 needs two words. Half
    the pairs are true subsumptions — B = pi(A) plus a few random masks
@@ -654,7 +654,7 @@ let prop_arena_filters_decode =
 let staged_image arena st stage =
   Arena.stage_state arena st;
   let parent =
-    match Arena.commit arena ~level:0 with `Fresh i | `Dup i -> i
+    match Arena.commit arena with `Fresh i | `Dup i -> i
   in
   Arena.stage_child arena ~parent stage;
   Arena.staged_state arena
@@ -729,14 +729,14 @@ let test_domains2_no_regression () =
   (* domains=2 at n=6 was once ~10x slower than domains=1
      (BENCH_search.json, 11.5k vs 123k nodes/s) because every tiny
      level paid domain spawns. The search is single-domain now and
-     ignores the argument; this guards against a fan-out returning
+     takes no domain count; this guards against a fan-out returning
      with that cliff. Min-of-3 runs each to absorb scheduler noise;
      the bound is deliberately loose (2x + 50ms). *)
-  let wall d =
+  let wall _d =
     let best = ref infinity in
     for _ = 1 to 3 do
       let t0 = Unix.gettimeofday () in
-      (match Driver.optimal_depth ~domains:d ~n:6 () with
+      (match Driver.optimal_depth ~n:6 () with
       | Driver.Sorted { depth = 5; _ } -> ()
       | _ -> Alcotest.fail "n=6 optimum must be 5");
       best := min !best (Unix.gettimeofday () -. t0)
