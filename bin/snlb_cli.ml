@@ -770,8 +770,6 @@ let search_cmd =
     if resume && ckpt = None then
       usage_error "search: --resume needs --checkpoint FILE"
     else if shards < 0 then usage_error "search: --shards must be >= 0"
-    else if shards > 0 && shuffle then
-      usage_error "search: --shards does not support --shuffle"
     else if shards > 0 && (ckpt <> None || resume) then
       usage_error "search: --shards does not support --checkpoint/--resume"
     else if emit <> None && shuffle then
@@ -795,59 +793,79 @@ let search_cmd =
               Printf.eprintf "snlb: cannot resume (%s); starting fresh\n%!" e;
               None
       in
+      (* [report] the outcome of [sys] up to [max_depth], searched by
+         [shards] worker processes or in-process *)
+      let search sink cancel ~max_depth sys report =
+        if shards = 0 then
+          report
+            (Driver.run ~budget ~sink ~cancel ?checkpoint
+               ?resume:resume_state ~max_depth sys)
+        else
+          let dir =
+            match shard_dir with
+            | Some d -> d
+            | None -> default_shard_dir "shard-search"
+          in
+          match
+            Shard_search.run ~sink ~cancel ~budget ~shards ~dir ~max_depth sys
+          with
+          | Error e ->
+              Printf.eprintf "snlb: search: %s\n%!" e;
+              1
+          | Ok outcome ->
+              if shard_dir = None then cleanup_shard_dir dir;
+              report outcome
+      in
       if shuffle then begin
         if not (Bitops.is_power_of_two n) || n < 2 || n > 16 then
           usage_error "search: --shuffle needs n a power of two in [2,16]"
         else
           with_obs ~trace ~metrics @@ fun sink ->
           with_signals @@ fun cancel ->
+          let search = search sink cancel (Min_depth.system ~n) in
           match depth with
-          | Some depth -> (
-              match
-                Min_depth.search ~n ~depth ~budget ~sink ~cancel
-                  ?checkpoint ?resume:resume_state ()
-              with
-              | Min_depth.Sorter prog ->
-                  Printf.printf "depth-%d shuffle-based sorter EXISTS for n=%d " depth n;
-                  Printf.printf "(witness verified: %b)\n"
-                    (Min_depth.verify_witness ~n prog);
-                  List.iteri
-                    (fun i ops ->
-                      Format.printf "  stage %d: %a@." (i + 1)
-                        (fun fmt -> Array.iter (Register_model.pp_op fmt)) ops)
-                    prog;
-                  0
-              | Min_depth.Impossible ->
-                  Printf.printf "no depth-%d shuffle-based sorter for n=%d (exhaustive)\n"
-                    depth n;
-                  0
-              | Min_depth.Inconclusive ->
-                  Printf.printf "inconclusive within %d nodes; raise --budget\n"
-                    budget.Driver.max_nodes;
-                  exit_budget
-              | Min_depth.Interrupted -> interrupted_exit "search")
-          | None -> (
+          | Some depth ->
+              search ~max_depth:depth (function
+                | Driver.Sorted { moves = prog; _ } ->
+                    Printf.printf "depth-%d shuffle-based sorter EXISTS for n=%d " depth n;
+                    Printf.printf "(witness verified: %b)\n"
+                      (Min_depth.verify_witness ~n prog);
+                    List.iteri
+                      (fun i ops ->
+                        Format.printf "  stage %d: %a@." (i + 1)
+                          (fun fmt -> Array.iter (Register_model.pp_op fmt)) ops)
+                      prog;
+                    0
+                | Driver.Unsorted _ ->
+                    Printf.printf "no depth-%d shuffle-based sorter for n=%d (exhaustive)\n"
+                      depth n;
+                    0
+                | Driver.Inconclusive _ ->
+                    Printf.printf "inconclusive within %d nodes; raise --budget\n"
+                      budget.Driver.max_nodes;
+                    exit_budget
+                | Driver.Interrupted _ -> interrupted_exit "search")
+          | None ->
               let max_depth = Option.value max_depth ~default:6 in
-              match
-                Min_depth.minimal_depth ~n ~max_depth ~budget ~sink
-                  ~cancel ?checkpoint ?resume:resume_state ()
-              with
-              | Min_depth.Minimal (depth, _) ->
-                  Printf.printf
-                    "minimal shuffle-based sorter depth for n=%d: %d (bitonic: %d)\n" n
-                    depth (Bitonic.depth_formula ~n);
-                  0
-              | Min_depth.No_sorter ->
-                  Printf.printf "no sorter within %d stages\n" max_depth;
-                  0
-              | Min_depth.Unknown k ->
-                  Printf.printf
-                    "inconclusive: stages <= %d refuted within %d nodes; raise --budget\n"
-                    k budget.Driver.max_nodes;
-                  exit_budget
-              | Min_depth.Stopped k ->
-                  Printf.printf "stages <= %d refuted before interruption\n" k;
-                  interrupted_exit "search")
+              search ~max_depth (function
+                | Driver.Sorted { depth; moves; _ } ->
+                    assert (Min_depth.verify_witness ~n moves);
+                    Printf.printf
+                      "minimal shuffle-based sorter depth for n=%d: %d (bitonic: %d)\n" n
+                      depth (Bitonic.depth_formula ~n);
+                    0
+                | Driver.Unsorted _ ->
+                    Printf.printf "no sorter within %d stages\n" max_depth;
+                    0
+                | Driver.Inconclusive stats ->
+                    Printf.printf
+                      "inconclusive: stages <= %d refuted within %d nodes; raise --budget\n"
+                      stats.Driver.completed_levels budget.Driver.max_nodes;
+                    exit_budget
+                | Driver.Interrupted stats ->
+                    Printf.printf "stages <= %d refuted before interruption\n"
+                      stats.Driver.completed_levels;
+                    interrupted_exit "search")
       end
       else if n < 2 || n > 10 then
         usage_error "search: n must be in [2,10] (state space is 2^n)"
@@ -889,76 +907,56 @@ let search_cmd =
               print_stats stats;
               interrupted_exit "search"
         in
-        if shards > 0 then begin
-          let dir =
-            match shard_dir with
-            | Some d -> d
-            | None -> default_shard_dir "shard-search"
-          in
-          match
-            Shard_search.run ~sink ~cancel ~budget ~shards ~dir ~max_depth
-              (Driver.network_system ~n ())
-          with
-          | Error e ->
-              Printf.eprintf "snlb: search: %s\n%!" e;
-              1
-          | Ok outcome ->
-              if shard_dir = None then cleanup_shard_dir dir;
-              report outcome
-        end
-        else
-          match emit with
-          | None ->
-              report
-                (Driver.optimal_depth ~budget ~sink ~cancel
-                   ?checkpoint ?resume:resume_state ~max_depth ~n ())
-          | Some path ->
-              (* The exhaustion certificate replays every child of every
-                 frontier state, so the log must come from the
-                 unrestricted reference search: every layer, equality-
-                 only dedup. The restricted search's symmetry-reduced
-                 second layers leave children no pool entry covers. *)
-              let frontiers = ref [] in
-              let frontier_log ~level:_ states =
-                frontiers := states :: !frontiers
-              in
-              let outcome =
-                Driver.optimal_depth ~budget ~sink ~cancel
-                  ~frontier_log ?checkpoint ~restrict:false ~max_depth ~n ()
-              in
-              let frontiers = List.rev !frontiers in
-              let code = report outcome in
-              let emitted =
-                match outcome with
-                | Driver.Unsorted _ ->
-                    Result.map
-                      (fun c -> [ c ])
-                      (Cert_emit.exhaustion ~n ~max_depth ~frontiers)
-                | Driver.Sorted { depth; moves; _ } ->
-                    let sorted =
-                      Analysis_cert.sortedness (Driver.witness_network ~n moves)
-                    in
-                    let exhausted =
-                      if depth <= 1 then Ok []
-                      else
-                        Result.map
-                          (fun c -> [ c ])
-                          (Cert_emit.exhaustion ~n ~max_depth:(depth - 1)
-                             ~frontiers)
-                    in
-                    (match (exhausted, sorted) with
-                    | Ok ex, Ok sc -> Ok (ex @ [ sc ])
-                    | Error e, _ | _, Error e -> Error e)
-                | Driver.Inconclusive _ | Driver.Interrupted _ ->
-                    Error "search ended without a verdict"
-              in
-              (match emitted with
-              | Ok certs ->
-                  write_certs path certs;
-                  code
-              | Error e ->
-                  Printf.eprintf "search: cannot emit certificate: %s\n" e;
-                  if code = 0 then exit_failure else code)
+        match emit with
+        | None ->
+            search sink cancel ~max_depth (Driver.network_system ~n ()) report
+        | Some path ->
+            (* The exhaustion certificate replays every child of every
+               frontier state, so the log must come from the
+               unrestricted reference search: every layer, equality-
+               only dedup. The restricted search's symmetry-reduced
+               second layers leave children no pool entry covers. *)
+            let frontiers = ref [] in
+            let frontier_log ~level:_ states =
+              frontiers := states :: !frontiers
+            in
+            let outcome =
+              Driver.optimal_depth ~budget ~sink ~cancel
+                ~frontier_log ?checkpoint ~restrict:false ~max_depth ~n ()
+            in
+            let frontiers = List.rev !frontiers in
+            let code = report outcome in
+            let emitted =
+              match outcome with
+              | Driver.Unsorted _ ->
+                  Result.map
+                    (fun c -> [ c ])
+                    (Cert_emit.exhaustion ~n ~max_depth ~frontiers)
+              | Driver.Sorted { depth; moves; _ } ->
+                  let sorted =
+                    Analysis_cert.sortedness (Driver.witness_network ~n moves)
+                  in
+                  let exhausted =
+                    if depth <= 1 then Ok []
+                    else
+                      Result.map
+                        (fun c -> [ c ])
+                        (Cert_emit.exhaustion ~n ~max_depth:(depth - 1)
+                           ~frontiers)
+                  in
+                  (match (exhausted, sorted) with
+                  | Ok ex, Ok sc -> Ok (ex @ [ sc ])
+                  | Error e, _ | _, Error e -> Error e)
+              | Driver.Inconclusive _ | Driver.Interrupted _ ->
+                  Error "search ended without a verdict"
+            in
+            (match emitted with
+            | Ok certs ->
+                write_certs path certs;
+                code
+            | Error e ->
+                Printf.eprintf "search: cannot emit certificate: %s\n" e;
+                if code = 0 then exit_failure else code)
       end
     end
   in

@@ -28,29 +28,20 @@ let all_op_vectors ~pairs =
 (* Necessary condition for sorting within [r] more stages: every unit
    mask's one must sit at a register whose low [d - r] bits are all
    ones (its committed high position bits must already be correct);
-   dually for single-zero masks. *)
-let prunable ~n ~d ~remaining state =
-  if remaining >= d then false
-  else begin
-    let low_bits = d - remaining in
-    let low_mask = (1 lsl low_bits) - 1 in
-    let full = (1 lsl n) - 1 in
-    State.exists_mask
-      (fun m ->
-        if m <> 0 && m land (m - 1) = 0 then begin
-          (* unit: position of the single one *)
-          let p = Bitops.floor_log2 m in
-          p land low_mask <> low_mask
-        end
-        else
-          let c = full land lnot m in
-          if c <> 0 && c land (c - 1) = 0 then begin
-            let p = Bitops.floor_log2 c in
-            p land low_mask <> 0
-          end
-          else false)
-      state
-  end
+   dually for single-zero masks. [mem] is membership in the state's
+   reachable set, so only the [2n] unit and co-unit masks are read. *)
+let prunable ~n ~d ~remaining mem =
+  remaining < d
+  &&
+  let low_mask = (1 lsl (d - remaining)) - 1 in
+  let full = (1 lsl n) - 1 in
+  let rec go p =
+    p < n
+    && ((mem (1 lsl p) && p land low_mask <> low_mask)
+       || (mem (full lxor (1 lsl p)) && p land low_mask <> 0)
+       || go (p + 1))
+  in
+  go 0
 
 (* One stage as an arena move: the shuffle (the content of register c
    moves to register rotl c), then each pair's op — [+] the ascending
@@ -79,10 +70,9 @@ let system ~n =
   let shuffle = Array.init n (fun c -> ((c lsl 1) lor (c lsr (d - 1))) land (n - 1)) in
   { Driver.n;
     tag = "shuffle-ops";
-    initial = State.initial ~n;
     moves_at = (fun ~level:_ -> vectors);
     stage = stage_of ~shuffle;
-    prune = (fun ~level:_ ~remaining st -> prunable ~n ~d ~remaining st);
+    prune = (fun ~level:_ -> prunable ~n ~d);
     (* redundancy hook off: the op-vector move set is tiny (4^(n/2)
        vectors, n <= 8 in practice) and equality dedup already
        collapses the children a never-firing op would duplicate *)

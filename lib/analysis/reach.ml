@@ -112,25 +112,3 @@ let gate_redundant t g =
   match g with
   | Gate.Compare { lo; hi } -> bits_always_equal t lo hi
   | Gate.Exchange { a; b } -> bits_always_equal t a b
-
-let unordered_pairs ~n ~iter =
-  let tbl = Bytes.make (n * n) '\000' in
-  let total = n * (n - 1) in
-  let seen = ref 0 in
-  (try
-     iter (fun m ->
-         for i = 0 to n - 1 do
-           if m land (1 lsl i) <> 0 then
-             for j = 0 to n - 1 do
-               if m land (1 lsl j) = 0 && Bytes.unsafe_get tbl ((i * n) + j) = '\000'
-               then begin
-                 Bytes.unsafe_set tbl ((i * n) + j) '\001';
-                 incr seen;
-                 if !seen = total then raise Exit
-               end
-             done
-         done)
-   with Exit -> ());
-  tbl
-
-let pair_unordered tbl ~n i j = Bytes.unsafe_get tbl ((i * n) + j) <> '\000'

@@ -65,22 +65,3 @@ val gate_dead : t -> Gate.t -> bool
     bits (swapping equal bits is the identity on 0-1 vectors). *)
 
 val gate_redundant : t -> Gate.t -> bool
-
-(** {1 Shared pair table}
-
-    The search driver's redundant-move filter needs the same "could an
-    ascending comparator placed on [(i, j)] still exchange something?"
-    fact, but its reachable sets live in [Search.State], not here. The
-    table construction is shared by abstracting over the mask
-    iterator. *)
-
-val unordered_pairs : n:int -> iter:((int -> unit) -> unit) -> Bytes.t
-(** [unordered_pairs ~n ~iter] scans every mask produced by [iter]
-    once and returns an [n * n] byte table whose entry [(i, j)]
-    (row-major) is [1] iff some mask has bit [i] set and bit [j]
-    clear — i.e. a comparator directing [i -> j] placed at this point
-    would exchange at least one reachable vector. Scanning stops early
-    once every ordered pair has been witnessed. *)
-
-val pair_unordered : Bytes.t -> n:int -> int -> int -> bool
-(** [pair_unordered tbl ~n i j] reads entry [(i, j)]. *)

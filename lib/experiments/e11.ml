@@ -26,14 +26,15 @@ let run ~quick =
   in
   row 2 1 "trivial";
   row 4 2 "refutes depth < bitonic's 3";
-  row 4 3 "Batcher optimal at n=4";
+  row 4 3 "minimal at n=4";
   row 8 3 "trivial lower bound lg n";
   row 8 4 "";
   if not quick then
-    row ~max_nodes:2_000_000_000 8 5 "proves bitonic optimal at n=8";
+    row ~max_nodes:2_000_000_000 8 5 "depth 6 also refuted; 7 sorts";
   Ascii_table.print tbl;
   Exp_util.footnote
     "search space: images of all 2^n zero-one inputs under stage prefixes — a layered \
      BFS through the generic Search.Driver with equality dedup and the unit-mask \
      reachability prune; every 'sorter exists' witness is re-verified by the \
-     independent packed 0-1 checker."
+     independent packed 0-1 checker. 'bitonic depth' is Batcher's comparator \
+     depth; in shuffle-based form bitonic sort takes (lg n)^2 stages (9 at n=8)."

@@ -13,33 +13,34 @@ let c_retries = Metrics.counter "checkpoint.retries"
 let h_write_ms = Metrics.histogram "checkpoint.write_ms"
 let h_restore_ms = Metrics.histogram "checkpoint.restore_ms"
 
-let add_u32 buf v =
-  Buffer.add_char buf (Char.chr ((v lsr 24) land 0xff));
-  Buffer.add_char buf (Char.chr ((v lsr 16) land 0xff));
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xff));
-  Buffer.add_char buf (Char.chr (v land 0xff))
-
-let add_lstring buf s =
-  add_u32 buf (String.length s);
-  Buffer.add_string buf s
-
+(* One allocation of the final size: at n = 9 a payload is tens of MB,
+   and every extra copy is transient heap the size of the checkpoint. *)
 let encode t =
-  let body = Buffer.create (String.length t.payload + 256) in
-  add_u32 body version;
-  add_lstring body t.kind;
-  add_u32 body (List.length t.meta);
+  let field s = 4 + String.length s in
+  let meta = List.fold_left (fun a (k, v) -> a + field k + field v) 0 t.meta in
+  let size = 16 + field t.kind + 4 + meta + field t.payload in
+  let b = Bytes.create size and pos = ref 12 in
+  let u32 v =
+    Bytes.set_int32_be b !pos (Int32.of_int v);
+    pos := !pos + 4
+  in
+  let lstring s =
+    u32 (String.length s);
+    Bytes.blit_string s 0 b !pos (String.length s);
+    pos := !pos + String.length s
+  in
+  Bytes.blit_string magic 0 b 0 (String.length magic);
+  u32 version;
+  lstring t.kind;
+  u32 (List.length t.meta);
   List.iter
     (fun (k, v) ->
-      add_lstring body k;
-      add_lstring body v)
+      lstring k;
+      lstring v)
     t.meta;
-  add_lstring body t.payload;
-  let body = Buffer.contents body in
-  let head = Buffer.create 12 in
-  Buffer.add_string head magic;
-  add_u32 head (Crc32.string body);
-  Buffer.add_string head body;
-  Buffer.contents head
+  lstring t.payload;
+  Bytes.set_int32_be b 8 (Int32.of_int (Crc32.update_bytes 0 b 12 (size - 12)));
+  Bytes.unsafe_to_string b
 
 let write ?(attempts = 3) ?(backoff_ms = 10.) ~path t =
   let t0 = Clock.wall () in

@@ -12,3 +12,7 @@ val update : int -> string -> int -> int -> int
 (** [update crc s pos len] extends [crc] with [s.[pos .. pos+len-1]],
     so [update (update 0 a 0 la) b 0 lb = string (a ^ b)].
     @raise Invalid_argument if the range is outside [s]. *)
+
+val update_bytes : int -> bytes -> int -> int -> int
+(** {!update} over a byte sequence: how a writer checksums the buffer
+    it is still filling. *)

@@ -411,6 +411,11 @@ let staged_is_sorted t =
   done;
   !ok
 
+let staged_mem t m =
+  if m < 0 || m lsr t.n <> 0 then invalid_arg "Arena.staged_mem";
+  let x = Bigarray.Array1.unsafe_get t.words (stage_off t + (m lsr 6)) in
+  Int64.logand x (Int64.shift_left 1L (m land 63)) <> 0L
+
 let row_card t base =
   let c = ref 0 in
   for w = 0 to t.wpr - 1 do
@@ -578,10 +583,15 @@ let compute_sigs t idx =
   t.imps.((2 * idx) + 1) <- !i1
 
 (* channel [c]'s implication mask of row [idx] *)
-let implied t idx c =
+let chan_implied t idx c =
   let hi = if c < t.imp_per then 0 else 1 in
   (t.imps.((2 * idx) + hi) lsr ((c - (hi * t.imp_per)) * t.n))
   land ((1 lsl t.n) - 1)
+
+let implied t idx =
+  if not t.with_sigs then
+    invalid_arg "Arena.implied: arena built without signatures";
+  Array.init t.n (chan_implied t idx)
 
 type filters = {
   counts : Subsume.fingerprint;
@@ -603,7 +613,7 @@ let filters t idx =
   { counts =
       { card = t.card.(idx); level_card = decode base; chan_ones = chan 1 };
     zeros = chan 2;
-    implied = Array.init t.n (implied t idx) }
+    implied = implied t idx }
 
 (* fieldwise A <= B over the packed signatures at [oa] and [ob]: no
    field borrows in [(B | guards) - A] (the carry trick). [g1] is the
@@ -681,7 +691,6 @@ let state_of_base t base =
   State.of_masks ~n:t.n (List.rev !masks)
 
 let to_state t idx = state_of_base t (idx * t.wpr)
-let staged_state t = state_of_base t (stage_off t)
 
 (* --- row codec (layout in the mli): the words as they are --- *)
 
@@ -877,8 +886,8 @@ let subsumes t a b =
          let ia = t.sc_ia and ib = t.sc_ib and tb = t.sc_tb in
          for c = 0 to nn - 1 do
            order.(c) <- c;
-           ia.(c) <- implied t a c;
-           ib.(c) <- implied t b c
+           ia.(c) <- chan_implied t a c;
+           ib.(c) <- chan_implied t b c
          done;
          (* tb.(c') = the channels d' of B with c' in ib.(d') *)
          for c' = 0 to nn - 1 do

@@ -15,8 +15,9 @@
 
     Mutation protocol: build a child into the single {e staging row}
     with {!stage_state} or {!stage_child}, interrogate it
-    ({!staged_is_sorted}), then {!commit} it — which either dedups it
-    against every row ever committed or freezes it as the next index.
+    ({!staged_is_sorted}, {!staged_mem}), then {!commit} it — which
+    either dedups it against every row ever committed or freezes it as
+    the next index.
     Committed rows are immutable and indices are stable for the arena's
     lifetime.
 
@@ -76,16 +77,16 @@ val staged_is_sorted : t -> bool
 (** Whether the staging row's reachable set contains only the [n + 1]
     sorted 0-1 vectors — the "witness found" test, before commit. *)
 
+val staged_mem : t -> int -> bool
+(** [staged_mem t m]: is mask [m] reachable in the staging row? What a
+    prune hook reads of a child {e before} it enters the dedup memory.
+    @raise Invalid_argument unless [0 <= m < 2^n]. *)
+
 val commit : t -> [ `Fresh of int | `Dup of int ]
 (** Dedup-insert the staging row: [`Dup idx] if a row with identical
     words was already committed (the staging row is simply abandoned),
     else [`Fresh idx] freezing it at the next index (and computing its
     signatures, when enabled). *)
-
-val staged_state : t -> State.t
-(** Unpack the staging row (allocating) without committing it — for
-    [State.t]-typed prune hooks that must see a child {e before} it
-    enters the dedup memory. *)
 
 val truncate : t -> int -> unit
 (** [truncate t len] drops every row committed after the first [len]
@@ -97,8 +98,8 @@ val card : t -> int -> int
 (** Reachable-set cardinality of a committed row (precomputed). *)
 
 val to_state : t -> int -> State.t
-(** Unpack a committed row (allocating) — the bridge to the
-    [State.t]-typed prune/redundancy hooks and frontier logs. *)
+(** Unpack a committed row (allocating) — for frontier logs and
+    tests. *)
 
 (** {1 Row codec}
 
@@ -146,6 +147,11 @@ type filters = {
           (all [n] bits when none has it) *)
 }
 (** What {!subsumes} reads of one row, unpacked. *)
+
+val implied : t -> int -> int array
+(** [implied t idx]: row [idx]'s per-channel implication masks, as in
+    {!filters} — what the redundant-move hook reads of a parent.
+    @raise Invalid_argument if the arena has no signatures. *)
 
 val filters : t -> int -> filters
 (** Decode the packed signatures and implication masks of a committed

@@ -26,11 +26,10 @@ type dedup = Equal | Subsume
 type 'm system = {
   n : int;
   tag : string;
-  initial : State.t;
   moves_at : level:int -> 'm list;
   stage : 'm -> Arena.stage;
-  prune : level:int -> remaining:int -> State.t -> bool;
-  redundant_of : level:int -> State.t -> 'm -> bool;
+  prune : level:int -> remaining:int -> (int -> bool) -> bool;
+  redundant_of : level:int -> int array -> 'm -> bool;
   dedup : dedup;
 }
 
@@ -47,8 +46,8 @@ let c_subsumed = Metrics.counter "search.subsumed"
 let c_levels = Metrics.counter "search.levels"
 
 (* The static-analysis pruning hook lives under the analyzer's counter
-   namespace: these are redundancy facts (lib/analysis Reach domain)
-   consumed by the search. *)
+   namespace: these are reachable-set redundancy facts consumed by the
+   search. *)
 let c_redundant = Metrics.counter "analysis.redundant_moves"
 let c_ckpt_failures = Metrics.counter "checkpoint.failures"
 let c_resumes = Metrics.counter "checkpoint.resumes"
@@ -95,7 +94,7 @@ type tally = { found : int option; pruned : int; redundant : int; live : int }
 let expand_row sys arena ~level ~max_depth ~moves ~charge ~emit pidx =
   let is_red =
     if sys.redundant_of == no_redundant then fun _ -> false
-    else sys.redundant_of ~level (Arena.to_state arena pidx)
+    else sys.redundant_of ~level (Arena.implied arena pidx)
   in
   let all = List.init (Array.length moves) Fun.id in
   let live = List.filter (fun k -> not (is_red moves.(k))) all in
@@ -103,6 +102,7 @@ let expand_row sys arena ~level ~max_depth ~moves ~charge ~emit pidx =
   if not (charge nlive) then None
   else begin
     let remaining = max_depth - level in
+    let mem = Arena.staged_mem arena in
     let pruned = ref 0 in
     let rec go = function
       | [] -> None
@@ -113,9 +113,7 @@ let expand_row sys arena ~level ~max_depth ~moves ~charge ~emit pidx =
             (* children of the last level are only tested for
                sortedness: nothing would expand them *)
             if remaining > 0 then
-              if
-                sys.prune != no_prune
-                && sys.prune ~level ~remaining (Arena.staged_state arena)
+              if sys.prune != no_prune && sys.prune ~level ~remaining mem
               then incr pruned
               else emit k;
             go rest
@@ -128,6 +126,10 @@ let expand_row sys arena ~level ~max_depth ~moves ~charge ~emit pidx =
 
 let commit_staged arena = match Arena.commit arena with `Fresh i | `Dup i -> i
 
+(* Signatures iff the system subsumes: they carry the implication masks
+   [redundant_of] reads, so a shard worker's arena must match [run]'s. *)
+let arena_of sys = Arena.create ~with_sigs:(sys.dedup = Subsume) ~n:sys.n ()
+
 (* A shard unit: the level, then the slice's rows as one block. *)
 let encode_unit arena ~level rows =
   let buf = Buffer.create 4096 in
@@ -139,7 +141,7 @@ let encode_unit arena ~level rows =
    child's move index (0 for none), the surviving children's move
    indices (count first), then their rows as one block. *)
 let expand_entries sys ~max_depth payload =
-  let arena = Arena.create ~with_sigs:false ~n:sys.n () in
+  let arena = arena_of sys in
   let r = { s = payload; pos = 0 } and parents = ref [] in
   let level = below r "level" max_int in
   read_rows r arena (fun _ -> parents := commit_staged arena :: !parents);
@@ -279,13 +281,14 @@ let run ?domains:_ ?engine:_ ?(budget = default_budget) ?(sink = Sink.null)
      ascending cardinality: a rep can only subsume candidates of >= its
      card (subsumption maps the reachable set injectively), so the scan
      for a candidate cuts off at the first larger card. *)
-  let arena = Arena.create ~with_sigs:(sys.dedup = Subsume) ~n:sys.n () in
+  let arena = arena_of sys in
+  let initial = State.initial ~n:sys.n in
   (* a validated boundary, its rows already committed in their original
      order (so every index in it is valid), or a fresh start *)
   let level, (counts, sizes, kept, frontier) =
     let fresh () =
       Arena.truncate arena 0;
-      Arena.stage_state arena sys.initial;
+      Arena.stage_state arena initial;
       (1, (List.init 7 (fun _ -> 0), [], [], [ (commit_staged arena, []) ]))
     in
     match resume_from with
@@ -560,7 +563,7 @@ let run ?domains:_ ?engine:_ ?(budget = default_budget) ?(sink = Sink.null)
   in
   Span.run ~sink ~name:"search" @@ fun search_sp ->
   let outcome =
-    if State.is_sorted sys.initial then
+    if State.is_sorted initial then
       Sorted { depth = 0; moves = []; stats = mk_stats 0 }
     else begin
       while !result = None && !level <= max_depth && !frontier <> [] do
@@ -650,7 +653,7 @@ let network_system ?(restrict = true) ~n () =
   (* Analysis hook (restricted mode, levels >= 3 only): a layer
      containing a comparator [(i, j)] that never fires on the state's
      reachable set — no reachable mask has bit [i] set and bit [j]
-     clear ({!Reach.unordered_pairs} over {!State.iter_masks}) —
+     clear, i.e. bit [j] of the implication mask [implied.(i)] is set —
      reaches exactly the state of that layer minus the comparator.
      [Layers.all] contains every nonempty matching, so from level 3 on
      the smaller layer is itself an available move (or, when it
@@ -658,28 +661,19 @@ let network_system ?(restrict = true) ~n () =
      already represents); skipping the larger layer therefore loses no
      depth-optimal witness. Level 2 serves only symmetry
      representatives, where the sub-layer may be absent, and level 1
-     is fixed — the hook stays off there. The reference system keeps
-     the hook off entirely: it is the exhaustive baseline the pruned
-     search is validated against. *)
-  let redundant_of ~level st =
-    if not restrict || level <= 2 then fun _ -> false
-    else begin
-      let tbl =
-        lazy (Reach.unordered_pairs ~n ~iter:(fun f -> State.iter_masks f st))
-      in
-      fun layer ->
-        List.exists
-          (fun (i, j) -> not (Reach.pair_unordered (Lazy.force tbl) ~n i j))
-          layer
-    end
+     is fixed — the hook stays off there. The reference system has no
+     hook: it is the exhaustive baseline the pruned search is
+     validated against. *)
+  let redundant_of ~level implied layer =
+    level > 2
+    && List.exists (fun (i, j) -> (implied.(i) lsr j) land 1 = 1) layer
   in
   { n;
     tag = (if restrict then "layers" else "layers-reference");
-    initial = State.initial ~n;
     moves_at;
     stage = Arena.comparators;
     prune = no_prune;
-    redundant_of;
+    redundant_of = (if restrict then redundant_of else no_redundant);
     dedup = (if restrict then Subsume else Equal) }
 
 let optimal_depth ?budget ?sink ?on_level ?frontier_log ?cancel ?checkpoint

@@ -109,30 +109,34 @@ type 'm system = {
       (** names the move type for checkpoint compatibility (e.g.
           ["layers"], ["shuffle-ops"]); a snapshot only resumes into a
           system with the same tag *)
-  initial : State.t;
   moves_at : level:int -> 'm list;
       (** moves available for the layer at 1-based [level] *)
   stage : 'm -> Arena.stage;
       (** the effect of a move on the reachable set, applied to the
           packed rows by the arena's word-parallel butterflies *)
-  prune : level:int -> remaining:int -> State.t -> bool;
-      (** sound necessary-condition filter: [true] only if the state
+  prune : level:int -> remaining:int -> (int -> bool) -> bool;
+      (** sound necessary-condition filter, given membership of 0-1
+          masks in a child's reachable set ({!Arena.staged_mem}, read
+          before the child is committed): [true] only if the child
           cannot reach a sorted state within [remaining] more moves *)
-  redundant_of : level:int -> State.t -> 'm -> bool;
+  redundant_of : level:int -> int array -> 'm -> bool;
       (** static-analysis move filter, consulted {e before} a move is
-          applied: [true] only if some other available move (or the
-          already-represented parent) provably reaches the same child,
-          so skipping the move preserves a depth-optimal witness. The
-          driver partially applies [redundant_of ~level st] once per
-          expanded state — implementations amortize per-state work
-          (e.g. a reachable-set scan) in that closure. Skips are
-          counted in [stats.redundant] and the
-          ["analysis.redundant_moves"] metric, not in [nodes]. *)
+          applied, given the parent's per-channel implication masks
+          ({!Arena.implied}: [implied.(c)] is the AND of the reachable
+          masks with bit [c] set): [true] only if some other available
+          move (or the already-represented parent) provably reaches
+          the same child, so skipping the move preserves a
+          depth-optimal witness. The driver partially applies
+          [redundant_of ~level implied] once per expanded state. Skips
+          are counted in [stats.redundant] and the
+          ["analysis.redundant_moves"] metric, not in [nodes]. A system
+          other than {!no_redundant} must dedup by [Subsume]: only
+          then does the arena store the masks. *)
   dedup : dedup;
 }
 
-val no_prune : level:int -> remaining:int -> State.t -> bool
-val no_redundant : level:int -> State.t -> 'a -> bool
+val no_prune : level:int -> remaining:int -> (int -> bool) -> bool
+val no_redundant : level:int -> int array -> 'a -> bool
 
 type engine = [ `Arena ]
 (** The only engine. Kept so callers that still name it (the
@@ -209,8 +213,8 @@ val network_system : ?restrict:bool -> n:int -> unit -> layer system
     (default [true]) levels 2+ additionally use second layers up to
     first-layer symmetry and subsumption deduplication, and levels 3+
     consult the static-analysis [redundant_of] hook: a layer holding a
-    comparator that never fires on the state's reachable 0-1 set
-    ({!Reach.unordered_pairs}) is skipped, because [Layers.all]
+    comparator [(i, j)] that never fires on the state's reachable 0-1
+    set (bit [j] of [implied.(i)] set) is skipped, because [Layers.all]
     contains the same layer without it — same child, one comparator
     cheaper. With [~restrict:false] they use every layer, equality-only
     deduplication and no analysis hook — the slow exhaustive reference

@@ -18,10 +18,9 @@ let c_migrations = Metrics.counter "shard.islands.migrations"
    base seed so [islands = 1] reproduces the single-process run. *)
 let island_seed base i = base + (i * 1_000_003)
 
-(* What a worker sends back per epoch: the population in the canonical
-   text format (the same bytes a checkpoint or migration carries) plus
-   the segment verdict. Genomes travel as their stable serialization,
-   never as Marshal of the abstract type. *)
+(* The population travels in the canonical text format (the same bytes
+   a checkpoint or migration carries), genomes as their stable
+   serialization. *)
 type epoch_result = {
   r_population : string;
   r_found_at : int option;
@@ -30,6 +29,39 @@ type epoch_result = {
   r_best : string;
   r_generations : int;
 }
+
+(* A result crosses the process boundary as one JSON object. *)
+let result_to_string r =
+  Json.to_string
+    (Json.Obj
+       [ ("population", Json.Str r.r_population);
+         ("found_at",
+           match r.r_found_at with Some g -> Json.Int g | None -> Json.Null);
+         ("best_fitness", Json.Int r.r_best_fitness);
+         ("best_size", Json.Int r.r_best_size);
+         ("best", Json.Str r.r_best);
+         ("generations", Json.Int r.r_generations) ])
+
+let result_of_string s =
+  let ( let* ) = Result.bind in
+  let* j = Json.of_string s in
+  let field k f =
+    Option.to_result ~none:("missing or ill-typed " ^ k)
+      (Option.bind (Json.member k j) f)
+  in
+  let* r_population = field "population" Json.to_str in
+  let* r_found_at =
+    field "found_at" (function
+      | Json.Null -> Some None
+      | v -> Option.map Option.some (Json.to_int v))
+  in
+  let* r_best_fitness = field "best_fitness" Json.to_int in
+  let* r_best_size = field "best_size" Json.to_int in
+  let* r_best = field "best" Json.to_str in
+  let* r_generations = field "generations" Json.to_int in
+  Ok
+    { r_population; r_found_at; r_best_fitness; r_best_size; r_best;
+      r_generations }
 
 let segment_result seg =
   {
@@ -111,17 +143,18 @@ let run ?(sink = Sink.null) ?cancel ?config ~mode ~dir ~islands ~epoch
               match Evolve.parse_population icfg payload with
               | Error e -> failwith ("island population payload: " ^ e)
               | Ok pop ->
-                  Marshal.to_string
+                  result_to_string
                     (segment_result (Evolve.run_segment icfg ~start_gen:sg ~gens pop))
-                    []
             in
             match Shard.run ~sink ?cancel config ~kind ~units ~worker with
             | Shard.Completed rs ->
-                Ok
-                  (List.map
-                     (fun (_, payload) ->
-                       (Marshal.from_string payload 0 : epoch_result))
-                     rs)
+                List.fold_right
+                  (fun (_, payload) acc ->
+                    match (result_of_string payload, acc) with
+                    | Ok r, Ok rs -> Ok (r :: rs)
+                    | Error e, _ -> Error ("island result: " ^ e)
+                    | _, (Error _ as e) -> e)
+                  rs (Ok [])
             | Shard.Quarantined ids ->
                 Error
                   (Printf.sprintf

@@ -61,3 +61,23 @@ val run :
     poison island is quarantined.
     @raise Invalid_argument unless [islands >= 1], [epoch >= 1],
     [0 <= migrants <= cfg.pop / 2], and [cfg] validates. *)
+
+(** {1 Worker results} *)
+
+type epoch_result = {
+  r_population : string;  (** {!Evolve.population_payload} text *)
+  r_found_at : int option;  (** generation of a perfect sorter *)
+  r_best_fitness : int;
+  r_best_size : int;
+  r_best : string;  (** {!Genome.to_string} of the segment's best *)
+  r_generations : int;
+}
+(** What a worker sends back per epoch: the population in the canonical
+    text format plus the segment verdict. *)
+
+val result_to_string : epoch_result -> string
+(** A JSON object of the six fields. *)
+
+val result_of_string : string -> (epoch_result, string) result
+(** The inverse of {!result_to_string}; [Error] on anything else
+    (a truncated or corrupted result). *)

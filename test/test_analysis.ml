@@ -344,21 +344,6 @@ let test_to_iterated_reject () =
   | Ok _ -> Alcotest.fail "classic bitonic wrongly certified"
   | Error _ -> ()
 
-(* --- unordered-pairs table (shared with the search driver) --- *)
-
-let test_unordered_pairs () =
-  let n = 4 in
-  let st = Reach.all n in
-  let st = Reach.apply_gate st (Gate.compare_up 0 1) in
-  let iter f = Reach.iter f st in
-  let tbl = Reach.unordered_pairs ~n ~iter in
-  (* (0,1) ordered now; (1,0) still has no witness either way round? —
-     after compare_up 0 1 no mask has bit0=1,bit1=0, so (0,1) is
-     "ordered": placing an ascending comparator 0->1 is dead *)
-  check_bool "0->1 ordered" false (Reach.pair_unordered tbl ~n 0 1);
-  check_bool "1->0 unordered" true (Reach.pair_unordered tbl ~n 1 0);
-  check_bool "2->3 unordered" true (Reach.pair_unordered tbl ~n 2 3)
-
 (* --- load gate --- *)
 
 let test_check_gate () =
@@ -436,7 +421,6 @@ let () =
           Alcotest.test_case "injected-dead" `Quick test_injected_dead;
           Alcotest.test_case "redundant-flip" `Quick test_redundant_flip;
           Alcotest.test_case "standardize" `Quick test_standardize;
-          Alcotest.test_case "unordered-pairs" `Quick test_unordered_pairs;
         ] );
       ( "conformance",
         [

@@ -75,6 +75,82 @@ let test_golden () =
            (Driver.run ~budget:(Golden.budget_of b) ~max_depth (Min_depth.system ~n))))
     Golden.shuffle_runs
 
+(* The prune as it read a boxed state before it became row-native: a
+   scan of every reachable mask for a unit or co-unit mask out of
+   place. Kept as the oracle for the hook, which reads the 2n unit and
+   co-unit masks of the staging row. *)
+let state_prunable ~n ~d ~remaining state =
+  if remaining >= d then false
+  else begin
+    let low_mask = (1 lsl (d - remaining)) - 1 in
+    let full = (1 lsl n) - 1 in
+    State.exists_mask
+      (fun m ->
+        if m <> 0 && m land (m - 1) = 0 then
+          Bitops.floor_log2 m land low_mask <> low_mask
+        else
+          let c = full land lnot m in
+          c <> 0 && c land (c - 1) = 0 && Bitops.floor_log2 c land low_mask <> 0)
+      state
+  end
+
+(* Random states that hold each unit and co-unit mask with probability
+   1/n, next to a few arbitrary masks, so both verdicts occur. *)
+let test_row_prune_oracle () =
+  let rng = Xoshiro.of_seed 17 in
+  List.iter
+    (fun n ->
+      let d = Bitops.log2_exact n and full = (1 lsl n) - 1 in
+      let sys = Min_depth.system ~n in
+      let arena = Arena.create ~with_sigs:false ~n () in
+      let verdicts = Array.make 2 0 in
+      for _ = 1 to 300 do
+        let special =
+          List.concat_map
+            (fun p -> [ 1 lsl p; full lxor (1 lsl p) ])
+            (List.init n Fun.id)
+          |> List.filter (fun _ -> Xoshiro.int rng ~bound:n = 0)
+        in
+        let other =
+          List.init (Xoshiro.int rng ~bound:6) (fun _ ->
+              Xoshiro.int rng ~bound:(full + 1))
+        in
+        let st = State.of_masks ~n (special @ other) in
+        Arena.stage_state arena st;
+        for remaining = 0 to d do
+          let want = state_prunable ~n ~d ~remaining st in
+          let got = sys.Driver.prune ~level:1 ~remaining (Arena.staged_mem arena) in
+          if got <> want then
+            Alcotest.failf "n=%d remaining=%d masks %s: row prune %b, oracle %b"
+              n remaining
+              (String.concat "," (List.map string_of_int (State.masks st)))
+              got want;
+          verdicts.(Bool.to_int got) <- verdicts.(Bool.to_int got) + 1
+        done
+      done;
+      check_bool (Printf.sprintf "n=%d both verdicts occur" n) true
+        (verdicts.(0) > 0 && verdicts.(1) > 0))
+    [ 2; 4; 8; 16 ]
+
+(* A depth-7 shuffle-based sorter for n = 8, below the 9 stages of the
+   shuffle-form bitonic sorter; no stage can be dropped from it. *)
+let test_n8_depth7_witness () =
+  let parse s =
+    Array.init (String.length s) (fun k ->
+        match s.[k] with
+        | '+' -> Register_model.Plus
+        | '-' -> Register_model.Minus
+        | '1' -> Register_model.One
+        | _ -> Register_model.Zero)
+  in
+  let prog = List.map parse [ "++++"; "++++"; "--++"; "+--+"; "++++"; "++++"; "++++" ] in
+  check_bool "depth 7 sorts" true (Min_depth.verify_witness ~n:8 prog);
+  List.iteri
+    (fun k _ ->
+      check_bool (Printf.sprintf "without stage %d" (k + 1)) false
+        (Min_depth.verify_witness ~n:8 (List.filteri (fun i _ -> i <> k) prog)))
+    prog
+
 let test_invalid_n () =
   check_bool "rejects n=6" true
     (match Min_depth.search ~n:6 ~depth:1 () with
@@ -92,4 +168,7 @@ let () =
           Alcotest.test_case "budget honoured" `Quick test_budget_reported;
           Alcotest.test_case "minimal_depth reports Unknown" `Quick test_minimal_unknown;
           Alcotest.test_case "invalid n" `Quick test_invalid_n;
-          Alcotest.test_case "legacy golden files" `Quick test_golden ] ) ]
+          Alcotest.test_case "legacy golden files" `Quick test_golden;
+          Alcotest.test_case "row prune = state prune (n=2,4,8,16)" `Quick
+            test_row_prune_oracle;
+          Alcotest.test_case "n=8 depth-7 witness" `Quick test_n8_depth7_witness ] ) ]

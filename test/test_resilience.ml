@@ -120,6 +120,24 @@ let test_checkpoint_roundtrip () =
       check_bool "meta" true (ck.Checkpoint.meta = sample_ckpt.Checkpoint.meta);
       check_string "payload" sample_ckpt.Checkpoint.payload ck.Checkpoint.payload
 
+(* The envelope's bytes, pinned: magic, CRC-32, version, kind, two
+   meta pairs, payload (see checkpoint.mli). *)
+let test_checkpoint_bytes_pinned () =
+  with_temp @@ fun path ->
+  (match Checkpoint.write ~path sample_ckpt with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  let hex s =
+    String.concat ""
+      (List.map (fun c -> Printf.sprintf "%02x" (Char.code c))
+         (List.of_seq (String.to_seq s)))
+  in
+  check_string "encoded bytes"
+    ("534e4c42434b50540ffdd3ad0000000100000009736e6c622d746573740000000200"
+   ^ "0000016e000000013600000003746167000000066c61796572730000001a61726269"
+   ^ "747261727920002062696e61727920ff206279746573")
+    (hex (read_file path))
+
 let test_checkpoint_rejects_any_corrupt_byte () =
   (* the acceptance bar from the issue: a checkpoint with any single
      corrupted byte is rejected cleanly *)
@@ -588,7 +606,9 @@ let () =
           Alcotest.test_case "backup fallback" `Quick
             test_checkpoint_backup_fallback;
           Alcotest.test_case "bounded write retry" `Quick
-            test_checkpoint_write_retry ] );
+            test_checkpoint_write_retry;
+          Alcotest.test_case "encoded bytes pinned" `Quick
+            test_checkpoint_bytes_pinned ] );
       ( "fault",
         [ Alcotest.test_case "parse errors" `Quick test_fault_parse_errors;
           Alcotest.test_case "probability boundaries" `Quick

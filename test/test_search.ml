@@ -651,13 +651,48 @@ let prop_arena_filters_decode =
           && f.Arena.implied = implied_masks st n)
         (List.init 10 (fun _ -> random_state rng n) @ List.map fst frontier))
 
+(* The free-layer hook reads a parent's implication masks: from level 3
+   on, a layer is skipped iff one of its comparators (i, j) never fires
+   (no reachable mask has bit i set and bit j clear); the reference
+   system has no hook. *)
+let prop_redundant_hook_brute =
+  QCheck.Test.make
+    ~name:"network redundant_of = brute-force never-fires (n=2..10)"
+    ~count:100
+    QCheck.(pair (int_range 0 1_000_000) (int_range 2 10))
+    (fun (seed, n) ->
+      let rng = Xoshiro.of_seed seed in
+      let sys = Driver.network_system ~n () in
+      let arena = Arena.create ~n () in
+      let _, frontier = random_frontier rng arena n 10 in
+      let fires st (i, j) =
+        State.exists_mask (fun m -> (m lsr i) land 1 = 1 && (m lsr j) land 1 = 0) st
+      in
+      let pairs =
+        List.concat_map
+          (fun i -> List.init (n - 1 - i) (fun k -> [ (i, i + 1 + k) ]))
+          (List.init n Fun.id)
+      in
+      (Driver.network_system ~restrict:false ~n ()).Driver.redundant_of
+      == Driver.no_redundant
+      && List.for_all
+           (fun st ->
+             let implied = Arena.implied arena (commit_any arena st) in
+             List.for_all
+               (fun layer ->
+                 sys.Driver.redundant_of ~level:3 implied layer
+                 = List.exists (fun c -> not (fires st c)) layer
+                 && not (sys.Driver.redundant_of ~level:2 implied layer))
+               (pairs @ List.init 8 (fun _ -> random_layer rng n)))
+           (List.init 10 (fun _ -> random_state rng n) @ List.map fst frontier))
+
 let staged_image arena st stage =
   Arena.stage_state arena st;
   let parent =
     match Arena.commit arena with `Fresh i | `Dup i -> i
   in
   Arena.stage_child arena ~parent stage;
-  Arena.staged_state arena
+  Arena.to_state arena (match Arena.commit arena with `Fresh i | `Dup i -> i)
 
 let prop_stage_comparators =
   QCheck.Test.make
@@ -788,7 +823,8 @@ let () =
             test_arena_engine_equivalence;
           QCheck_alcotest.to_alcotest prop_arena_filters_decode;
           Alcotest.test_case "signatures need n <= 10" `Quick
-            test_arena_sigs_width ] );
+            test_arena_sigs_width;
+          QCheck_alcotest.to_alcotest prop_redundant_hook_brute ] );
       ( "driver",
         [ Alcotest.test_case "known optima n<=6" `Quick test_known_optimal_depths;
           Alcotest.test_case "reference agreement + 10x pruning" `Quick

@@ -178,6 +178,24 @@ let test_search_identity_under_faults () =
       sharded_outcome ~shards:3 ~dir ~n:6 ())
     [ 1; 7; 2026 ]
 
+(* The shuffle system shards too: every golden shuffle run, outcome
+   and counters, from two workers. *)
+let test_search_identity_shuffle () =
+  List.iter
+    (fun (n, max_depth, b) ->
+      with_dir @@ fun dir ->
+      match
+        Shard_search.run ~budget:(Golden.budget_of b)
+          ~config:(quick_config ~dir) ~shards:2 ~dir ~max_depth
+          (Min_depth.system ~n)
+      with
+      | Ok outcome ->
+          Golden.check "shuffle.txt"
+            (Golden.key ~n ~max_depth b)
+            (Golden.render_shuffle outcome)
+      | Error e -> Alcotest.failf "sharded shuffle search failed: %s" e)
+    Golden.shuffle_runs
+
 (* --- island evolve: determinism and fault identity --- *)
 
 let evolve_config =
@@ -229,6 +247,25 @@ let test_islands_processes_match_inline () =
   let procs = islands_outcome ~mode:`Processes ~dir () in
   islands_agree "inline vs processes" inline procs
 
+let test_island_result_codec () =
+  let r =
+    { Shard_islands.r_population = "pop \"text\"\nline 2";
+      r_found_at = Some 7;
+      r_best_fitness = 3;
+      r_best_size = 12;
+      r_best = "(0,1)(2,3)";
+      r_generations = 8 }
+  in
+  let s = Shard_islands.result_to_string r in
+  check_bool "round trip" true (Shard_islands.result_of_string s = Ok r);
+  let none = { r with Shard_islands.r_found_at = None } in
+  check_bool "no find round trip" true
+    (Shard_islands.result_of_string (Shard_islands.result_to_string none)
+    = Ok none);
+  check_bool "truncated is an Error" true
+    (Result.is_error
+       (Shard_islands.result_of_string (String.sub s 0 (String.length s - 1))))
+
 let test_islands_identity_under_faults () =
   with_dir @@ fun dir ->
   let reference = islands_outcome ~mode:`Inline ~dir () in
@@ -260,12 +297,15 @@ let () =
           Alcotest.test_case "budget-trip identity" `Quick
             test_search_identity_budget;
           Alcotest.test_case "identity under every fault point" `Quick
-            test_search_identity_under_faults ] );
+            test_search_identity_under_faults;
+          Alcotest.test_case "shuffle system identity" `Quick
+            test_search_identity_shuffle ] );
       ( "islands",
         [ Alcotest.test_case "islands=1 matches plain evolve" `Quick
             test_islands_single_matches_plain;
           Alcotest.test_case "processes match inline" `Quick
             test_islands_processes_match_inline;
           Alcotest.test_case "identity under every fault point" `Quick
-            test_islands_identity_under_faults ] );
+            test_islands_identity_under_faults;
+          Alcotest.test_case "result codec" `Quick test_island_result_codec ] );
     ]
